@@ -229,6 +229,9 @@ def _cmd_sweep(args, out_dir, entries):
     report.write_summary_csv(os.path.join(out_dir, "summary.csv"))
     if report.failures:
         report.write_failures_csv(os.path.join(out_dir, "failures.csv"))
+    if not report.records:
+        raise SolverError("sweep produced no records: all %d repetitions failed (first: %s)"
+                          % (len(report.failures), report.failures[0].message))
     if curve_points is not None:
         n = curve_n if curve_n is not None else max(config.n_grid)
         grid = np.linspace(config.design_low, config.design_high, curve_points + 2)[1:-1]

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracreg.errors import InvalidInputError, TuningError
-from fracreg.graph import KernelSpec, NeighborGraph, SampleSet, build_graph, connectivity_check
+from fracreg.graph import (
+    ConnectivityReport,
+    KernelSpec,
+    SampleSet,
+    build_graph,
+    connectivity_check,
+)
 from fracreg.spectral import EigenSystem, eigensolve, laplacian
 
 
@@ -144,9 +150,13 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
             DisconnectedGraphWarning,
             stacklevel=2,
         )
-    op = laplacian(graph, samples.dim)
-    eig = eigensolve(op, max(K, 1))
-    fitted, coef = _project(eig, samples.responses, K)
+    eig = eigensolve(laplacian(graph, samples.dim), max(K, 1))
+    return _regression_fit(eig, samples.responses, K, epsilon, report)
+
+
+def _regression_fit(eig: EigenSystem, y: np.ndarray, K: int, epsilon: float,
+                    report: ConnectivityReport) -> RegressionFit:
+    fitted, coef = _project(eig, y, K)
     return RegressionFit(
         fitted=fitted,
         K=K,
@@ -160,12 +170,19 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    best_K: int
-    best_epsilon: float
+    best_fit: RegressionFit  # the fit at the winning (K, epsilon)
     best_mse: float
     K_grid: tuple
     eps_grid: tuple
     mse_surface: np.ndarray  # shape (len(K_grid), len(eps_grid))
+
+    @property
+    def best_K(self) -> int:
+        return self.best_fit.K
+
+    @property
+    def best_epsilon(self) -> float:
+        return self.best_fit.epsilon
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -189,6 +206,9 @@ def grid_search(
 
     Each bandwidth needs one eigensystem; nested K values reuse it through
     cumulative projections.  Ties break toward smaller K, then smaller epsilon.
+    The winning bandwidth's graph and eigensystem are kept and returned as
+    best_fit, so fitting at the optimum needs no further solve; a
+    disconnected winner is reported on the fit, not warned about.
     """
     K_grid = [int(k) for k in K_grid]
     eps_grid = [float(e) for e in eps_grid]
@@ -225,11 +245,12 @@ def grid_search(
                 surface[idx, j] = mse
                 key = (mse, K, eps)
                 if best is None or key < best:
-                    best = key
+                    best, winner = key, (graph, eig)
+    best_mse, best_K, best_eps = best
+    graph, eig = winner
     return GridSearchResult(
-        best_K=best[1],
-        best_epsilon=best[2],
-        best_mse=best[0],
+        best_fit=_regression_fit(eig, y, best_K, best_eps, connectivity_check(graph)),
+        best_mse=best_mse,
         K_grid=tuple(K_grid),
         eps_grid=tuple(eps_grid),
         mse_surface=surface,

@@ -8,15 +8,18 @@ and bit-reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
-from fracreg.errors import InvalidInputError
+from fracreg.errors import FracregError, InvalidInputError
 from fracreg.estimator import (
     DisconnectedGraphWarning,
     TuningRule,
@@ -31,6 +34,19 @@ from fracreg.sobolev import TestFunction, zoo_function
 # Offset added to the repetition index for the single retry stream of a
 # failed repetition; far beyond any realistic repetition count.
 _RETRY_OFFSET = 2 ** 48
+
+# Errors a repetition may hit on unlucky data: they trigger the retry stream
+# and, on a second failure, a failures.csv row.  Anything else is a bug and
+# propagates.
+_RETRYABLE = (FracregError, np.linalg.LinAlgError, ArpackError)
+
+# Setter and getter of the thread count in a plain OpenBLAS build and in the
+# prefixed builds that the numpy (64-bit integer) and scipy wheels bundle.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
 
 # The smallest n is dropped from the slope fit when its graph was
 # disconnected in more than this fraction of repetitions.
@@ -91,7 +107,14 @@ class ExperimentConfig:
             object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         if self.theory_s is not None and not 0.0 < self.theory_s < 1.0:
             raise InvalidInputError("theory_s must lie in (0, 1)")
-        zoo_function(self.truth)  # unknown truth name fails here
+        a, b = zoo_function(self.truth).domain  # unknown truth name fails here
+        if self.design_low < a or self.design_high > b:
+            # the design may share an endpoint with the open domain: a draw
+            # lands exactly on it with probability zero
+            raise InvalidInputError(
+                "design interval [%.17g, %.17g] is not inside the domain (%.17g, %.17g) "
+                "of truth %s" % (self.design_low, self.design_high, a, b, self.truth)
+            )
 
     def truth_function(self) -> TestFunction:
         return zoo_function(self.truth)
@@ -179,23 +202,26 @@ class ExperimentReport:
 
 
 def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.ndarray):
-    """Tune (rule or grid search) and fit; returns (fit result, mse)."""
+    """Tune (rule or grid search) and fit; returns (fit result, mse).
+
+    A grid search already holds the fit at its optimum, so that path runs
+    one eigensolve per bandwidth and none after.
+    """
     n = samples.n
     if config.tuning is not None:
         K = choose_K(config.tuning, n)
         eps = choose_epsilon(config.tuning, n, K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedGraphWarning)
+            res = fit(samples, K, eps, config.kernel)
     else:
-        result = grid_search(
+        res = grid_search(
             samples,
             [k for k in config.k_grid if k <= n],
             config.eps_grid,
             config.kernel,
             truth_values,
-        )
-        K, eps = result.best_K, result.best_epsilon
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedGraphWarning)
-        res = fit(samples, K, eps, config.kernel)
+        ).best_fit
     mse = float(np.mean((res.fitted - truth_values) ** 2))
     return res, mse
 
@@ -210,7 +236,7 @@ def _sweep_job(config: ExperimentConfig, n: int, rep: int):
             return SweepRecord(
                 n=n, rep=rep, K=res.K, epsilon=res.epsilon, mse=mse, connected=res.connected
             )
-        except Exception as exc:  # one redraw, then record the failure
+        except _RETRYABLE as exc:  # one redraw, then record the failure
             if attempt == 1:
                 return SweepFailure(n=n, rep=rep, message="%s: %s" % (type(exc).__name__, exc))
     raise AssertionError("unreachable")
@@ -230,19 +256,71 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
     return slope, math.sqrt(rss / (m - 2) / sxx)
 
 
+def _openblas_handles():
+    """(set, get) thread-count functions of each OpenBLAS this process loaded.
+
+    Found through /proc/self/maps, so on other systems, or with another
+    BLAS, the list is empty and sweeps run at the library's thread count.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    handles = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                handles.append((getattr(lib, set_name), getattr(lib, get_name)))
+                break
+    return handles
+
+
+def _pin_one_blas_thread():
+    """Pool initializer: a forked worker inherits the pin, a spawned one not."""
+    for set_threads, _ in _openblas_handles():
+        set_threads(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then restore."""
+    handles = _openblas_handles()
+    saved = [get_threads() for _, get_threads in handles]
+    for set_threads, _ in handles:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(handles, saved):
+            set_threads(count)
+
+
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Generate, tune, fit, and record over every (n, repetition) cell.
 
     Failures are recorded and excluded from aggregation.  The report is a
     deterministic function of the config, independent of thread count.
+
+    Every job runs with one OpenBLAS thread, in the pool and serially alike,
+    so the records do not depend on the BLAS thread count either.  At the
+    library default each pool worker would start one BLAS thread per core,
+    and on a machine with as many workers as cores those spinning threads
+    made a pooled sweep several times slower than the same jobs run serially.
     """
     jobs = [(n, rep) for n in config.n_grid for rep in range(config.repetitions)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs]),
-                                     chunksize=max(1, len(jobs) // (4 * threads))))
-    else:
-        outcomes = [_sweep_job(config, n, rep) for n, rep in jobs]
+    with _one_blas_thread():
+        if threads > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=threads,
+                                     initializer=_pin_one_blas_thread) as pool:
+                outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs]),
+                                         chunksize=max(1, len(jobs) // (4 * threads))))
+        else:
+            outcomes = [_sweep_job(config, n, rep) for n, rep in jobs]
 
     records = sorted(
         (o for o in outcomes if isinstance(o, SweepRecord)), key=lambda r: (r.n, r.rep)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 from scipy import integrate
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from fracreg.errors import InvalidInputError
@@ -257,21 +258,6 @@ class ConnectivityReport:
 
 
 def connectivity_check(graph: NeighborGraph) -> ConnectivityReport:
-    """Count connected components by union-find over positive-weight edges."""
-    parent = list(range(graph.n))
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    rows, cols, _ = graph.edge_arrays()
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    count = sum(1 for v in range(graph.n) if find(v) == v)
-    return ConnectivityReport(connected=(count == 1), component_count=count)
+    """Count the connected components over positive-weight edges."""
+    count, _ = csgraph.connected_components(graph.weights, directed=False)
+    return ConnectivityReport(connected=(count == 1), component_count=int(count))

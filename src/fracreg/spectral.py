@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy import linalg
+from scipy.sparse import csgraph
 
 from fracreg.errors import InvalidInputError, SolverError
 from fracreg.graph import NeighborGraph
@@ -132,13 +134,42 @@ def _canonicalize_kernel_cluster(values: np.ndarray, vectors: np.ndarray, n: int
     return out
 
 
+def _shift_invert(matrix: sparse.csr_matrix, shift: float) -> spla.LinearOperator:
+    """(A - shift I)^-1 as an operator, through one banded Cholesky factor.
+
+    A - shift I is symmetric positive definite for a PSD Laplacian and
+    shift < 0.  Reverse Cuthill-McKee ordering packs the epsilon-graph into
+    a band of half-width b (in 1-D, essentially the sorted points), so the
+    factor takes (b + 1) n doubles and each solve O(b n) work.
+    """
+    n = matrix.shape[0]
+    perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    shifted = matrix[perm][:, perm] - shift * sparse.identity(n, format="csr")
+    upper = sparse.triu(shifted, format="coo")
+    b = int(np.max(upper.col - upper.row))
+    band = np.zeros((b + 1, n))  # LAPACK upper band storage
+    band[b + upper.row - upper.col, upper.col] = upper.data
+    try:
+        factor = linalg.cholesky_banded(band, lower=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("shifted Laplacian is not positive definite: %s" % exc) from exc
+
+    def solve(x):
+        out = np.empty_like(x)
+        out[perm] = linalg.cho_solve_banded((factor, False), x[perm], check_finite=False)
+        return out
+
+    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+
+
 def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
     """Compute the m algebraically smallest eigenpairs of the operator.
 
-    method is "auto" (dense at or below DENSE_LIMIT, Krylov shift-invert
-    above), or "dense" / "iterative" to force a path.  The iterative path
-    cannot produce a complete basis, so m >= n - 1 falls back to dense.
-    Raises SolverError carrying the worst residual on non-convergence.
+    method is "auto" (dense at or below DENSE_LIMIT, Lanczos shift-invert on
+    a banded Cholesky factor above), or "dense" / "iterative" to force a
+    path.  The iterative path cannot produce a complete basis, so m >= n - 1
+    falls back to dense.  Raises SolverError carrying the worst residual on
+    non-convergence.
     """
     n = op.n
     if not 1 <= m <= n:
@@ -157,7 +188,8 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
         shift = -1e-3 * (float(np.mean(diag)) + 1e-30)
         v0 = np.random.Generator(np.random.Philox(key=0x5EED0F00D)).standard_normal(n)
         try:
-            values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0)
+            values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0,
+                                      OPinv=_shift_invert(op.matrix, shift))
         except spla.ArpackNoConvergence as exc:
             worst = None
             if exc.eigenvalues is not None and len(exc.eigenvalues):

@@ -135,6 +135,33 @@ class TestSweepCommand:
         record = open(os.path.join(out, "error.txt")).read()
         assert "code = 2" in record and "kind = input" in record
 
+    def test_design_outside_truth_domain_is_input_error(self, tmp_path):
+        # f1 lives on (-1, 1) and the default design is [0, 5]
+        cfg = write(tmp_path / "bad.txt", SWEEP_CONFIG.replace("truth = f2", "truth = f1"))
+        out = str(tmp_path / "o")
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 2
+        record = open(os.path.join(out, "error.txt")).read()
+        assert "kind = input" in record and "domain" in record
+        assert not os.path.exists(os.path.join(out, "records.csv"))
+
+    def test_zero_records_exits_solver(self, tmp_path):
+        # an empty bandwidth window fails every repetition
+        cfg = write(tmp_path / "rule.txt", """\
+truth = f2
+n_grid = [40, 60]
+repetitions = 1
+tuning.s = 0.45
+tuning.M = 1.0
+tuning.c0 = 100.0
+tuning.C0 = 0.0001
+""")
+        out = str(tmp_path / "o")
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 4
+        record = open(os.path.join(out, "error.txt")).read()
+        assert "code = 4" in record and "no records" in record
+        failures = open(os.path.join(out, "failures.csv")).read().splitlines()
+        assert len(failures) == 3 and "TuningError" in failures[1]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "bad.txt", SWEEP_CONFIG + "bogus_key = 1\n")
         out = str(tmp_path / "o")

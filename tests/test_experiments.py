@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fracreg.errors import InvalidInputError
-from fracreg.estimator import TuningRule
+from fracreg import estimator, experiments
+from fracreg.errors import InvalidInputError, SolverError
+from fracreg.estimator import TuningRule, fit
 from fracreg.experiments import (
     ExperimentConfig,
+    _fit_once,
+    _sweep_job,
     eigenvalue_growth_diagnostic,
     generate,
     mean_fit_curve,
@@ -52,6 +55,17 @@ class TestConfigValidation:
     def test_only_one_dimensional_designs(self):
         with pytest.raises(InvalidInputError):
             grid_config(dim=2)
+
+    def test_design_outside_truth_domain_rejected(self):
+        # f1 lives on (-1, 1); the default design [0, 5] would fail every job
+        with pytest.raises(InvalidInputError, match="domain"):
+            grid_config(truth="f1")
+        with pytest.raises(InvalidInputError, match="domain"):
+            grid_config(design_low=-0.5)
+
+    def test_design_may_share_domain_endpoints(self):
+        cfg = grid_config(truth="f1", design_low=-1.0, design_high=1.0)
+        assert (cfg.design_low, cfg.design_high) == (-1.0, 1.0)
 
 
 class TestGenerate:
@@ -110,6 +124,28 @@ class TestRunSweep:
         b = run_sweep(cfg, threads=2)
         assert a == b
 
+    def test_thread_invariance_at_blas_threaded_sizes(self):
+        # dense eigh at n = 500 and the banded factor at n = 600 are large
+        # enough for BLAS to thread at the library default
+        cfg = grid_config(n_grid=(500, 600), repetitions=1, eps_grid=(0.12, 0.5),
+                          k_grid=(4, 16, 32))
+        assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=2)
+
+    def test_jobs_run_at_one_blas_thread(self, monkeypatch):
+        handles = experiments._openblas_handles()
+        before = [get_threads() for _, get_threads in handles]
+        seen = []
+        real_fit_once = experiments._fit_once
+
+        def spying(config, samples, truth_values):
+            seen.append([get_threads() for _, get_threads in handles])
+            return real_fit_once(config, samples, truth_values)
+
+        monkeypatch.setattr(experiments, "_fit_once", spying)
+        run_sweep(grid_config())
+        assert seen and all(counts == [1] * len(handles) for counts in seen)
+        assert [get_threads() for _, get_threads in handles] == before
+
     def test_rule_tuning_path(self):
         cfg = ExperimentConfig(
             truth="f2", n_grid=(100, 150), repetitions=2, seed=5, kernel=KERNEL,
@@ -165,6 +201,71 @@ class TestRunSweep:
         assert len(rec_lines) == 1 + len(report.records)
         sum_lines = sum_path.read_text().strip().splitlines()
         assert sum_lines[0] == "n,mean_mse,fitted_slope,theoretical_slope"
+
+
+class TestRetry:
+    def test_coding_error_propagates(self, monkeypatch):
+        def broken(config, samples, truth_values):
+            raise TypeError("a bug, not bad luck")
+
+        monkeypatch.setattr(experiments, "_fit_once", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_sweep(grid_config())
+
+    def test_solver_error_recorded_after_retry_stream(self, monkeypatch, tmp_path):
+        drawn = []
+        real_generate, real_fit_once = experiments.generate, experiments._fit_once
+
+        def recording_generate(config, n, rep_index):
+            drawn.append((n, rep_index))
+            return real_generate(config, n, rep_index)
+
+        def failing_for_40_0(config, samples, truth_values):
+            if samples.n == 40 and drawn[-1][1] in (0, experiments._RETRY_OFFSET):
+                raise SolverError("no convergence", worst_residual=1.0)
+            return real_fit_once(config, samples, truth_values)
+
+        monkeypatch.setattr(experiments, "generate", recording_generate)
+        monkeypatch.setattr(experiments, "_fit_once", failing_for_40_0)
+        report = run_sweep(grid_config())
+        assert (40, experiments._RETRY_OFFSET) in drawn
+        assert len(report.records) == 3
+        path = tmp_path / "failures.csv"
+        report.write_failures_csv(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines == ["n,rep,error", "40,0,SolverError: no convergence"]
+
+
+class TestGridTunedJob:
+    def test_one_graph_and_eigensolve_per_bandwidth(self, monkeypatch):
+        calls = {"build_graph": 0, "eigensolve": 0}
+
+        def counting(name):
+            real = getattr(estimator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(estimator, name, counting(name))
+        cfg = grid_config(eps_grid=(0.5, 0.8, 1.0))
+        assert isinstance(_sweep_job(cfg, 60, 0), experiments.SweepRecord)
+        assert calls == {"build_graph": 3, "eigensolve": 3}
+
+    # dense, then iterative eigensolve
+    @pytest.mark.parametrize("n, eps_grid", [(60, (0.5, 1.0)), (600, (0.12, 0.25, 0.5))])
+    def test_fit_equals_standalone_fit(self, n, eps_grid):
+        cfg = grid_config(n_grid=(n,), eps_grid=eps_grid, k_grid=(1, 4, 8, 16, 32))
+        samples = generate(cfg, n, 0)
+        truth = cfg.truth_function()(samples.points[:, 0])
+        res, mse = _fit_once(cfg, samples, truth)
+        alone = fit(samples, res.K, res.epsilon, KERNEL)
+        assert (res.K, res.epsilon) == (alone.K, alone.epsilon)
+        assert (res.connected, res.component_count) == (alone.connected, alone.component_count)
+        np.testing.assert_allclose(res.fitted, alone.fitted, rtol=0, atol=1e-10)
+        assert mse == float(np.mean((res.fitted - truth) ** 2))
 
 
 class TestGrowthDiagnostic:

@@ -103,6 +103,19 @@ class TestEigensolve:
             ang = subspace_angles(dense.vectors[:, idx], iterative.vectors[:, idx])
             assert ang.max() < 1e-6
 
+    @pytest.mark.parametrize("eps", [0.12, 0.5])
+    def test_iterative_matches_dense_oracle_at_sweep_size(self, eps):
+        # above DENSE_LIMIT, where the sweep takes the banded shift-invert path
+        x = np.random.default_rng(15).uniform(0.0, 5.0, 1000)
+        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec.truncated_gaussian()), 1)
+        dense = eigensolve(op, 64, method="dense")
+        iterative = eigensolve(op, 64)
+        assert np.max(np.abs(dense.values - iterative.values)) < 1e-8
+        for cluster in eigen_clusters(dense.values):
+            idx = list(cluster)
+            ang = subspace_angles(dense.vectors[:, idx], iterative.vectors[:, idx])
+            assert ang.max() < 1e-6
+
     def test_sign_convention(self):
         op = random_geometric_operator(7)
         eig = eigensolve(op, 10)
