@@ -9,7 +9,6 @@ status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -18,6 +17,7 @@ import numpy as np
 from fracreg import config as cfg
 from fracreg import experiments as xp
 from fracreg import sobolev
+from fracreg.csvout import write_csv
 from fracreg.errors import ConfigError, InvalidInputError, SolverError, TuningError
 from fracreg.estimator import TuningRule, choose_epsilon, choose_K, fit, grid_search
 from fracreg.graph import KernelSpec, SampleSet, build_graph
@@ -320,21 +320,14 @@ def _cmd_seminorm(args, out_dir, entries):
     _write_echo(out_dir, echo)
 
     results = [sobolev.continuum_seminorm(fn, s, refinement=level) for s in s_values]
-    path = os.path.join(out_dir, "seminorm.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_levels = len(results[0].refinements)
-        writer.writerow(
-            ["s", "value", "diverged", "quadrature_cells", "estimated_error"]
-            + ["refinement_%d" % (4 + i) for i in range(n_levels)]
-        )
-        for res in results:
-            writer.writerow(
-                [format(res.s, ".17g"), format(res.value, ".17g"),
-                 "true" if res.diverged else "false",
-                 str(res.quadrature_cells), format(res.estimated_error, ".17g")]
-                + [format(v, ".17g") for v in res.refinements]
-            )
+    n_levels = len(results[0].refinements)
+    write_csv(os.path.join(out_dir, "seminorm.csv"),
+              ["s", "value", "diverged", "quadrature_cells", "estimated_error"]
+              + ["refinement_%d" % (4 + i) for i in range(n_levels)],
+              ([res.s, res.value, "true" if res.diverged else "false",
+                res.quadrature_cells, res.estimated_error] + list(res.refinements)
+               for res in results),
+              "ggsdg" + "g" * n_levels)
     for res in results:
         status = "divergent" if res.diverged else "value %.12g" % res.value
         print("seminorm: s=%g %s" % (res.s, status))

@@ -7,13 +7,13 @@ closed-form tuning rule or from a grid search against a known truth.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, TuningError
 from fracreg.graph import (
     ConnectivityReport,
@@ -103,26 +103,16 @@ class RegressionFit:
 
     def save_csv(self, path, samples: SampleSet, metadata: dict | None = None):
         """Row per sample (index, coordinates, Y, fitted); metadata header lines."""
-        with open(path, "w", newline="") as fh:
-            meta = {"K": self.K, "epsilon": self.epsilon}
-            meta.update(metadata or {})
-            for key, val in meta.items():
-                if isinstance(val, float):
-                    val = format(val, ".17g")
-                fh.write("# %s = %s\n" % (key, val))
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["index"]
-                + ["x%d" % (j + 1) for j in range(samples.dim)]
-                + ["y", "fitted"]
-            )
-            y = samples.responses
-            for i in range(samples.n):
-                row = [str(i + 1)]
-                row += [format(v, ".17g") for v in samples.points[i]]
-                row.append(format(y[i], ".17g") if y is not None else "")
-                row.append(format(self.fitted[i], ".17g"))
-                writer.writerow(row)
+        meta = {"K": self.K, "epsilon": self.epsilon}
+        meta.update(metadata or {})
+        preamble = "".join("# %s = %s\n" % (key, format(val, ".17g") if isinstance(val, float)
+                                             else val) for key, val in meta.items())
+        y = samples.responses
+        y_cells = [""] * samples.n if y is None else y.tolist()
+        rows = ([i + 1] + point + [yi, fi] for i, (point, yi, fi)
+                in enumerate(zip(samples.points.tolist(), y_cells, self.fitted.tolist())))
+        write_csv(path, ["index"] + ["x%d" % (j + 1) for j in range(samples.dim)] + ["y", "fitted"],
+                  rows, "d" + "g" * samples.dim + ("s" if y is None else "g") + "g", preamble)
 
 
 def _project(eig: EigenSystem, y: np.ndarray, K: int):
@@ -185,14 +175,9 @@ class GridSearchResult:
         return self.best_fit.epsilon
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["K", "epsilon", "mse"])
-            for i, K in enumerate(self.K_grid):
-                for j, eps in enumerate(self.eps_grid):
-                    writer.writerow(
-                        [str(K), format(eps, ".17g"), format(self.mse_surface[i, j], ".17g")]
-                    )
+        rows = ([K, eps, self.mse_surface[i, j]]
+                for i, K in enumerate(self.K_grid) for j, eps in enumerate(self.eps_grid))
+        write_csv(path, ["K", "epsilon", "mse"], rows, "dgg")
 
 
 def grid_search(

@@ -9,7 +9,6 @@ and bit-reproducible regardless of scheduling.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import math
 import warnings
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError
 
+from fracreg.csvout import write_csv
 from fracreg.errors import FracregError, InvalidInputError
 from fracreg.estimator import (
     DisconnectedGraphWarning,
@@ -173,32 +173,17 @@ class ExperimentReport:
     theoretical_slope: float
 
     def write_records_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "rep", "K", "epsilon", "mse"])
-            for r in self.records:
-                writer.writerow([
-                    str(r.n), str(r.rep), str(r.K),
-                    format(r.epsilon, ".17g"), format(r.mse, ".17g"),
-                ])
+        write_csv(path, ["n", "rep", "K", "epsilon", "mse"],
+                  ((r.n, r.rep, r.K, r.epsilon, r.mse) for r in self.records), "dddgg")
 
     def write_summary_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "mean_mse", "fitted_slope", "theoretical_slope"])
-            for n, mean in zip(self.n_values, self.mean_mse_per_n):
-                writer.writerow([
-                    str(n), format(mean, ".17g"),
-                    format(self.fitted_slope, ".17g"),
-                    format(self.theoretical_slope, ".17g"),
-                ])
+        write_csv(path, ["n", "mean_mse", "fitted_slope", "theoretical_slope"],
+                  ((n, mean, self.fitted_slope, self.theoretical_slope)
+                   for n, mean in zip(self.n_values, self.mean_mse_per_n)), "dggg")
 
     def write_failures_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "rep", "error"])
-            for f in self.failures:
-                writer.writerow([str(f.n), str(f.rep), f.message])
+        write_csv(path, ["n", "rep", "error"],
+                  ((f.n, f.rep, f.message) for f in self.failures), "dds")
 
 
 def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.ndarray):
@@ -451,13 +436,8 @@ class CurveResult:
     counts: tuple
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "truth", "mean_fit"])
-            for x, t, f in zip(self.grid, self.mean_truth, self.mean_fit):
-                writer.writerow([
-                    format(x, ".17g"), format(t, ".17g"), format(f, ".17g"),
-                ])
+        write_csv(path, ["x", "truth", "mean_fit"],
+                  zip(self.grid, self.mean_truth, self.mean_fit), "ggg")
 
 
 def mean_fit_curve(config: ExperimentConfig, n: int, grid) -> CurveResult:

@@ -18,6 +18,7 @@ from scipy import integrate
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
+from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError
 
 # Edges below this weight are dropped: sparser storage, no measurable spectral effect.
@@ -74,17 +75,12 @@ class SampleSet:
 
     def save_csv(self, path):
         """One row per point: d coordinate columns, then the response if present."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["x%d" % (j + 1) for j in range(self.dim)]
-            if self.responses is not None:
-                header.append("y")
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [format(v, ".17g") for v in self.points[i]]
-                if self.responses is not None:
-                    row.append(format(self.responses[i], ".17g"))
-                writer.writerow(row)
+        header = ["x%d" % (j + 1) for j in range(self.dim)]
+        table = self.points
+        if self.responses is not None:
+            header.append("y")
+            table = np.column_stack([table, self.responses])
+        write_csv(path, header, table.tolist(), "g" * len(header))
 
     @classmethod
     def load_csv(cls, path) -> "SampleSet":
@@ -243,10 +239,10 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
     w = np.asarray(kernel(dist / epsilon), dtype=float).ravel()
     keep = w > WEIGHT_FLOOR
     i, j, w = i[keep], j[keep], w[keep]
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    data = np.concatenate([w, w])
-    weights = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    # each pair stored once and mirrored by the transpose: the sum is
+    # canonical CSR with no duplicate-summing sort
+    upper = sparse.csr_matrix((w, (i, j)), shape=(n, n))
+    weights = upper + upper.T
     degree = np.asarray(weights.sum(axis=1)).ravel()
     return NeighborGraph(n=n, epsilon=float(epsilon), weights=weights, degree=degree)
 

@@ -114,11 +114,6 @@ class TestFunction:
         return np.searchsorted(inner, arr, side="left")
 
 
-def evaluate(fn: TestFunction, x: float) -> float:
-    """Pointwise evaluation with the domain check."""
-    return fn(x)
-
-
 def power_function(alpha: float, domain=(-1.0, 1.0)) -> TestFunction:
     return TestFunction("power", tuple(domain), alpha=alpha)
 
@@ -291,40 +286,10 @@ def spectral_seminorm(eig: EigenSystem, f_values: np.ndarray, s: float) -> float
     return float(np.sum(lam ** s * coef * coef))
 
 
-# Lanczos approximation, g = 7 with 9 coefficients: relative error below
-# 1e-13 across the arguments used here, no external dependency.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_function(x: float) -> float:
-    """Gamma via the Lanczos series, with reflection for x < 1/2."""
-    if x <= 0.0 and x == math.floor(x):
-        raise InvalidInputError("gamma undefined at non-positive integers")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_function(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def frac_laplacian_constant(s: float, d: int) -> float:
     """Normalizing constant s 2^(2s) Gamma((d+2s)/2) / Gamma(1-s)."""
     if not 0.0 < s < 1.0:
         raise InvalidInputError("s must lie in (0, 1)")
     if d < 1:
         raise InvalidInputError("dimension must be at least 1")
-    return s * 2.0 ** (2.0 * s) * gamma_function((d + 2.0 * s) / 2.0) / gamma_function(1.0 - s)
+    return s * 2.0 ** (2.0 * s) * math.gamma((d + 2.0 * s) / 2.0) / math.gamma(1.0 - s)

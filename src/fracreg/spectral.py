@@ -7,7 +7,6 @@ and inner products below are <u, v>_n = <u, v> / n throughout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,9 @@ import scipy.sparse.linalg as spla
 from scipy import linalg
 from scipy.sparse import csgraph
 
+from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, SolverError
-from fracreg.graph import NeighborGraph
+from fracreg.graph import NeighborGraph, connectivity_check
 
 # Dense symmetric solver at or below this size; iterative Krylov above.
 # The dense path doubles as the oracle for the iterative one.
@@ -49,9 +49,6 @@ class LaplacianOperator:
     @property
     def scale(self) -> float:
         return 1.0 / (self.graph.n * self.graph.epsilon ** (self.dim + 2))
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(u, dtype=float)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -86,13 +83,10 @@ class EigenSystem:
 
     def save_csv(self, path):
         """One row per pair: index, eigenvalue, then the n vector entries."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"] + ["v%d" % (i + 1) for i in range(self.n)])
-            for k in range(self.m):
-                row = [str(k + 1), format(self.values[k], ".17g")]
-                row += [format(v, ".17g") for v in self.vectors[:, k]]
-                writer.writerow(row)
+        rows = ([k + 1, value] + self.vectors[:, k].tolist()
+                for k, value in enumerate(self.values.tolist()))
+        write_csv(path, ["index", "eigenvalue"] + ["v%d" % (i + 1) for i in range(self.n)],
+                  rows, "dg" + "g" * self.n)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -119,8 +113,8 @@ def _canonicalize_kernel_cluster(values: np.ndarray, vectors: np.ndarray, n: int
     proj = Q @ coef
     pnorm = np.sqrt(np.mean(proj * proj))
     if pnorm < 1.0 - 1e-6:
-        # Constant not (fully) inside the computed span: the cluster was
-        # truncated by the requested m.  Leave the basis as computed.
+        # Constant not (fully) inside the computed span, which eigensolve
+        # avoids by widening a truncated kernel; leave the basis as computed.
         return vectors
     b1 = proj / pnorm
     if c > 1:
@@ -162,25 +156,10 @@ def _shift_invert(matrix: sparse.csr_matrix, shift: float) -> spla.LinearOperato
     return spla.LinearOperator((n, n), matvec=solve, dtype=float)
 
 
-def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
-    """Compute the m algebraically smallest eigenpairs of the operator.
-
-    method is "auto" (dense at or below DENSE_LIMIT, Lanczos shift-invert on
-    a banded Cholesky factor above), or "dense" / "iterative" to force a
-    path.  The iterative path cannot produce a complete basis, so m >= n - 1
-    falls back to dense.  Raises SolverError carrying the worst residual on
-    non-convergence.
-    """
+def _lowest_pairs(op: LaplacianOperator, m: int, dense: bool):
+    """The m smallest eigenpairs, ascending, near-zero eigenvalues snapped to 0."""
     n = op.n
-    if not 1 <= m <= n:
-        raise InvalidInputError("m must lie in [1, n]")
-    if method not in ("auto", "dense", "iterative"):
-        raise InvalidInputError("method must be auto, dense, or iterative")
-    use_dense = method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1))
-    if method == "iterative" and m >= n - 1:
-        raise InvalidInputError("iterative solver requires m <= n - 2")
-
-    if use_dense:
+    if dense:
         values, vecs = np.linalg.eigh(op.dense())
         values, vecs = values[:m], vecs[:, :m]
     else:
@@ -207,11 +186,41 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     # Round-off on the provably-zero kernel eigenvalue would be amplified by
     # fractional powers later; snap the near-zero part of the spectrum to 0.
     snap = 1e-12 * max(1.0, float(values[-1]))
-    values = np.where(np.abs(values) <= snap, 0.0, values)
+    return np.where(np.abs(values) <= snap, 0.0, values), vecs
+
+
+def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
+    """Compute the m algebraically smallest eigenpairs of the operator.
+
+    method is "auto" (dense at or below DENSE_LIMIT, Lanczos shift-invert on
+    a banded Cholesky factor above), or "dense" / "iterative" to force a
+    path.  The iterative path cannot produce a complete basis, so m >= n - 1
+    falls back to dense.  If all m eigenvalues are zero and the graph has
+    more components than m, the whole kernel is solved for and its first m
+    canonical vectors (the constant first) returned.  Raises SolverError
+    carrying the worst residual on non-convergence.
+    """
+    n = op.n
+    if not 1 <= m <= n:
+        raise InvalidInputError("m must lie in [1, n]")
+    if method not in ("auto", "dense", "iterative"):
+        raise InvalidInputError("method must be auto, dense, or iterative")
+    use_dense = method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1))
+    if method == "iterative" and m >= n - 1:
+        raise InvalidInputError("iterative solver requires m <= n - 2")
+
+    values, vecs = _lowest_pairs(op, m, use_dense)
+    if m < n and not np.any(values):
+        # Every computed pair is in the kernel, one dimension per component;
+        # when the kernel is larger than m the constant need not be in the
+        # computed span, so solve for the whole kernel and keep its first m.
+        count = connectivity_check(op.graph).component_count
+        if count > m:
+            values, vecs = _lowest_pairs(op, count, use_dense or count >= n - 1)
 
     vectors = vecs * np.sqrt(n)  # |v|_n = 1
-    vectors = _canonicalize_kernel_cluster(values, vectors, n)
-    vectors = _fix_signs(vectors)
+    vectors = _fix_signs(_canonicalize_kernel_cluster(values, vectors, n))[:, :m]
+    values = values[:m]
 
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0) / np.sqrt(n)
     worst = float(np.max(residuals))

@@ -116,6 +116,14 @@ class TestFit:
         res = fit(s, 1, 2.0, KernelSpec.indicator())
         np.testing.assert_allclose(res.fitted, [4.0, 4.0, 4.0], atol=1e-12)
 
+    def test_k1_is_mean_when_components_outnumber_k(self):
+        # 8 components: the solver's one kernel vector need not be the constant
+        s = uniform_instance(1, n=40)
+        with pytest.warns(DisconnectedGraphWarning):
+            res = fit(s, 1, 0.2, KERNEL)
+        assert res.component_count == 8
+        np.testing.assert_allclose(res.fitted, np.mean(s.responses), rtol=0, atol=1e-12)
+
     def test_k0_zero_fit(self):
         s = uniform_instance(1)
         res = fit(s, 0, 0.8, KERNEL)
@@ -192,6 +200,12 @@ class TestGridSearch:
         res = grid_search(s, [5], [0.8], KERNEL, truth)
         assert res.best_K == 5 and res.best_epsilon == 0.8
         assert res.mse_surface.shape == (1, 1)
+
+    def test_best_fit_basis_starts_with_constant_when_components_outnumber_k(self):
+        s = uniform_instance(1, n=40)
+        res = grid_search(s, [1, 2], [0.2], KERNEL, np.sin(s.points[:, 0]))
+        assert res.best_fit.component_count == 8
+        np.testing.assert_allclose(res.best_fit.eig.vectors[:, 0], 1.0, rtol=0, atol=1e-12)
 
     def test_noiseless_full_rank_wins(self):
         rng = np.random.default_rng(8)

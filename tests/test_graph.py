@@ -5,6 +5,8 @@ import pytest
 
 from fracreg.errors import InvalidInputError
 from fracreg.graph import (
+    BRUTE_FORCE_LIMIT,
+    WEIGHT_FLOOR,
     KernelSpec,
     SampleSet,
     brute_force_pairs,
@@ -183,6 +185,20 @@ class TestBuildGraph:
         g = build_graph(SampleSet(pts), 0.3, KernelSpec.indicator())
         i, j, _ = brute_force_pairs(pts, 0.3)
         assert graph_edge_set(g) == set(zip(i.tolist(), j.tolist()))
+
+    def test_weights_canonical_and_equal_to_scan_oracle(self):
+        rng = np.random.default_rng(17)
+        n, eps = BRUTE_FORCE_LIMIT + 200, 0.3
+        pts = rng.uniform(0, 3, (n, 2))
+        kernel = KernelSpec.triangular()
+        W = build_graph(SampleSet(pts), eps, kernel).weights
+        assert W.has_canonical_format
+        assert (W != W.T).nnz == 0
+        i, j, dist = brute_force_pairs(pts, eps)
+        oracle = np.zeros((n, n))
+        oracle[i, j] = oracle[j, i] = kernel(dist / eps)
+        oracle[oracle <= WEIGHT_FLOOR] = 0.0
+        np.testing.assert_array_equal(W.toarray(), oracle)
 
     def test_tiny_weights_dropped(self):
         # shape h = 0.05 makes the weight at distance ~eps around exp(-200)

@@ -8,9 +8,7 @@ from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import (
     bumps,
     continuum_seminorm,
-    evaluate,
     frac_laplacian_constant,
-    gamma_function,
     piecewise_constant,
     piecewise_polynomial,
     power_function,
@@ -34,36 +32,36 @@ def step_seminorm_sq(s):
 class TestEvaluate:
     def test_blocks_values(self):
         f2 = zoo_function("f2")
-        assert evaluate(f2, 1.5) == 0.5
-        assert evaluate(f2, 4.0) == -2.5
+        assert f2(1.5) == 0.5
+        assert f2(4.0) == -2.5
 
     def test_piecewise_polynomial_values(self):
         f3 = zoo_function("f3")
-        assert evaluate(f3, 1.5) == pytest.approx(6.5)
-        assert evaluate(f3, 4.0) == pytest.approx(0.8)
+        assert f3(1.5) == pytest.approx(6.5)
+        assert f3(4.0) == pytest.approx(0.8)
 
     def test_power_at_origin(self):
         for alpha in (0.3, 0.5, 0.9):
-            assert evaluate(power_function(alpha), 0.0) == 0.0
+            assert power_function(alpha)(0.0) == 0.0
 
     def test_half_open_convention(self):
         f2 = zoo_function("f2")
         # the piece over (a, b] owns its right endpoint
-        assert evaluate(f2, 1.0) == 1.0
-        assert evaluate(f2, 2.0) == 0.5
+        assert f2(1.0) == 1.0
+        assert f2(2.0) == 0.5
         f3 = zoo_function("f3")
-        assert evaluate(f3, 2.0) == pytest.approx(2.0 * 4.0 + 2.0)
+        assert f3(2.0) == pytest.approx(2.0 * 4.0 + 2.0)
 
     def test_outside_domain_rejected(self):
         f2 = zoo_function("f2")
         for x in (0.0, 5.0, -1.0, 7.2):
             with pytest.raises(InvalidInputError):
-                evaluate(f2, x)
+                f2(x)
 
     def test_bumps_shape(self):
         fn = bumps([1.0], [2.0], [0.5], domain=(0.0, 2.0))
-        assert evaluate(fn, 1.0) == pytest.approx(2.0)  # peak value at the center
-        assert evaluate(fn, 1.5) == pytest.approx(2.0 * 2.0 ** -4.0)
+        assert fn(1.0) == pytest.approx(2.0)  # peak value at the center
+        assert fn(1.5) == pytest.approx(2.0 * 2.0 ** -4.0)
 
     def test_vectorized_matches_scalar(self):
         f3 = zoo_function("f3")
@@ -197,18 +195,6 @@ class TestSpectralSeminorm:
 
 
 class TestGammaAndConstant:
-    def test_gamma_against_math_gamma(self):
-        for x in np.linspace(0.05, 10.0, 73):
-            assert gamma_function(float(x)) == pytest.approx(
-                math.gamma(float(x)), rel=1e-13
-            )
-
-    def test_gamma_rejects_poles(self):
-        with pytest.raises(InvalidInputError):
-            gamma_function(0.0)
-        with pytest.raises(InvalidInputError):
-            gamma_function(-2.0)
-
     def test_half_s_one_d(self):
         assert frac_laplacian_constant(0.5, 1) == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from fracreg import spectral
 from fracreg.errors import InvalidInputError
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.spectral import (
@@ -46,15 +47,15 @@ class TestLaplacian:
     def test_constant_in_kernel(self):
         op = random_geometric_operator(0)
         u = np.full(op.n, 3.7)
-        assert np.max(np.abs(op.apply(u))) < 1e-12
+        assert np.max(np.abs(op.matrix @ u)) < 1e-12
 
     def test_symmetry_and_psd_on_random_vectors(self):
         op = random_geometric_operator(1)
         rng = np.random.default_rng(2)
         for _ in range(5):
             u, v = rng.standard_normal((2, op.n))
-            assert op.apply(u) @ v == pytest.approx(u @ op.apply(v), abs=1e-10)
-            assert op.apply(u) @ u >= -1e-10
+            assert (op.matrix @ u) @ v == pytest.approx(u @ (op.matrix @ v), abs=1e-10)
+            assert (op.matrix @ u) @ u >= -1e-10
 
     def test_two_point_quadratic_form(self):
         for eps in (0.7, 1.0, 1.3):
@@ -65,7 +66,7 @@ class TestLaplacian:
             u = np.array([0.0, 1.0])
             expect = w / (4.0 * eps ** 3)
             assert dirichlet_form(op, u) == pytest.approx(expect, rel=1e-12)
-            assert op.apply(u) @ u / 2.0 == pytest.approx(expect, rel=1e-12)
+            assert (op.matrix @ u) @ u / 2.0 == pytest.approx(expect, rel=1e-12)
 
 
 class TestEigensolve:
@@ -135,6 +136,25 @@ class TestEigensolve:
         rebuilt = (eig.vectors * eig.values) @ eig.vectors.T / op.n
         err = np.linalg.norm(rebuilt - op.dense())
         assert err < 1e-8
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_kernel_larger_than_m_starts_with_constant(self, method):
+        # 12 well-separated clusters of 10 points: a 12-dimensional kernel
+        rng = np.random.default_rng(3)
+        x = (np.arange(12)[:, None] + rng.uniform(0, 0.3, (12, 10))).ravel()
+        op = laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()), 1)
+        eig = eigensolve(op, 4, method)
+        assert eig.m == 4 and np.all(eig.values == 0.0)
+        np.testing.assert_allclose(eig.vectors[:, 0], 1.0, rtol=0, atol=1e-12)
+
+    def test_connected_graph_needs_no_component_count(self, monkeypatch):
+        def forbidden(graph):
+            raise AssertionError("components counted for a connected graph")
+
+        monkeypatch.setattr(spectral, "connectivity_check", forbidden)
+        op = random_geometric_operator(4)
+        for method in ("dense", "iterative"):
+            assert eigensolve(op, 2, method).values[1] > 0.0
 
     def test_csv_export(self, tmp_path):
         op = path3_operator()
@@ -207,5 +227,5 @@ class TestDirichletForm:
             op = random_geometric_operator(seed + 20, n=70)
             u = rng.standard_normal(op.n)
             via_edges = dirichlet_form(op, u)
-            via_matvec = (op.apply(u) @ u) / op.n
+            via_matvec = (op.matrix @ u) @ u / op.n
             assert via_edges == pytest.approx(via_matvec, abs=1e-10)
