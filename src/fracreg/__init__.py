@@ -44,7 +44,6 @@ from fracreg.sobolev import (
     SeminormResult,
     TestFunction,
     continuum_seminorm,
-    frac_laplacian_constant,
     spectral_seminorm,
     zoo,
     zoo_function,

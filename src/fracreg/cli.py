@@ -19,7 +19,7 @@ from fracreg import experiments as xp
 from fracreg import sobolev
 from fracreg.csvout import write_csv
 from fracreg.errors import ConfigError, InvalidInputError, SolverError, TuningError
-from fracreg.estimator import TuningRule, choose_epsilon, choose_K, fit, grid_search
+from fracreg.estimator import TuningRule, fit, grid_search
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.spectral import eigensolve, laplacian
 
@@ -365,8 +365,7 @@ def _cmd_eigen(args, out_dir, entries):
     _write_echo(out_dir, echo)
 
     if tuning is not None:
-        K = choose_K(tuning, samples.n)
-        epsilon = choose_epsilon(tuning, samples.n, K)
+        _, epsilon = tuning.resolve(samples.n)
     else:
         epsilon = explicit_eps
 

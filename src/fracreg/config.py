@@ -10,6 +10,9 @@ Syntax, line oriented:
 Values are integers, floats, booleans (true/false), bare or double-quoted
 strings, or flat lists of numbers.  Keys may repeat neither; unknown keys are
 rejected by each schema so typos fail before any computation starts.
+serialize writes a string quoted whenever its bare text would read back as
+something else; there is no escape, so a string holding a double quote need
+not survive the round trip.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ def _format_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     text = str(value)
-    if text != text.strip() or any(c in text for c in '#="[]') or " " in text:
+    # quote whatever would not read back bare as this same string ("12", "true", "")
+    if (not text or any(c in text for c in '#="[]') or " " in text
+            or _parse_scalar(text, "", 0) != text):
         return '"%s"' % text
     return text
 

@@ -53,6 +53,11 @@ class TuningRule:
         if not (self.c0 > 0 and self.C0 > 0):
             raise InvalidInputError("window constants c0, C0 must be positive")
 
+    def resolve(self, n: int):
+        """(K, epsilon) for n samples: choose_K, then choose_epsilon at that K."""
+        K = choose_K(self, n)
+        return K, choose_epsilon(self, n, K)
+
 
 def _snap_floor(x: float, rel: float = 1e-9) -> int:
     # floor with a snap to the nearest integer when x sits within float noise
@@ -210,27 +215,18 @@ def grid_search(
     n = samples.n
     y = samples.responses
     mmax = max(max(K_grid), 1)
-    order = np.argsort(K_grid, kind="stable")
     surface = np.empty((len(K_grid), len(eps_grid)))
     best = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedGraphWarning)
-        for j, eps in enumerate(eps_grid):
-            graph = build_graph(samples, eps, kernel)
-            eig = eigensolve(laplacian(graph, samples.dim), min(mmax, n))
-            coef = eig.coefficients(y)
-            fhat = np.zeros(n)
-            done = 0
-            for idx in order:
-                K = K_grid[idx]
-                while done < K:
-                    fhat = fhat + coef[done] * eig.vectors[:, done]
-                    done += 1
-                mse = float(np.mean((fhat - truth) ** 2))
-                surface[idx, j] = mse
-                key = (mse, K, eps)
-                if best is None or key < best:
-                    best, winner = key, (graph, eig)
+    for j, eps in enumerate(eps_grid):
+        graph = build_graph(samples, eps, kernel)
+        eig = eigensolve(laplacian(graph, samples.dim), min(mmax, n))
+        fits = np.zeros((eig.m + 1, n))  # row K: the fit on the first K vectors, summed in order
+        np.cumsum(eig.coefficients(y)[:, None] * eig.vectors.T, axis=0, out=fits[1:])
+        surface[:, j] = np.mean((fits[K_grid] - truth) ** 2, axis=1)
+        for K, mse in zip(K_grid, surface[:, j].tolist()):
+            key = (mse, K, eps)
+            if best is None or key < best:
+                best, winner = key, (graph, eig)
     best_mse, best_K, best_eps = best
     graph, eig = winner
     return GridSearchResult(

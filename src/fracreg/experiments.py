@@ -23,13 +23,12 @@ from fracreg.errors import FracregError, InvalidInputError
 from fracreg.estimator import (
     DisconnectedGraphWarning,
     TuningRule,
-    choose_K,
-    choose_epsilon,
     fit,
     grid_search,
 )
-from fracreg.graph import KernelSpec, SampleSet
+from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import TestFunction, zoo_function
+from fracreg.spectral import eigensolve, laplacian
 
 # Offset added to the repetition index for the single retry stream of a
 # failed repetition; far beyond any realistic repetition count.
@@ -194,8 +193,7 @@ def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.nda
     """
     n = samples.n
     if config.tuning is not None:
-        K = choose_K(config.tuning, n)
-        eps = choose_epsilon(config.tuning, n, K)
+        K, eps = config.tuning.resolve(n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedGraphWarning)
             res = fit(samples, K, eps, config.kernel)
@@ -380,15 +378,11 @@ def eigenvalue_growth_diagnostic(
     min(k^(2/d), eps^-2) leaves a fixed multiplicative sandwich around the
     median ratio.
     """
-    from fracreg.graph import build_graph
-    from fracreg.spectral import eigensolve, laplacian
-
     if m > n:
         raise InvalidInputError("m must not exceed n")
     samples = generate(config, n, 0)
     if config.tuning is not None:
-        K = choose_K(config.tuning, n)
-        eps = choose_epsilon(config.tuning, n, K)
+        _, eps = config.tuning.resolve(n)
     else:
         grid = sorted(config.eps_grid)
         eps = grid[len(grid) // 2]

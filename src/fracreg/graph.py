@@ -188,13 +188,15 @@ def kernel_moments(kernel: KernelSpec, dim: int) -> KernelMoments:
 class NeighborGraph:
     """Sparse symmetric weighted adjacency from the epsilon rule.
 
-    weights is CSR with zero diagonal; degree[i] is the i-th row sum.
+    weights is CSR with zero diagonal; degree[i] is the i-th row sum;
+    points is the (n, d) design the graph was built on.
     """
 
     n: int
     epsilon: float
     weights: sparse.csr_matrix
     degree: np.ndarray
+    points: np.ndarray
 
     def edge_arrays(self):
         """Return (rows, cols, w) over all stored (ordered) entries."""
@@ -244,16 +246,17 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
     upper = sparse.csr_matrix((w, (i, j)), shape=(n, n))
     weights = upper + upper.T
     degree = np.asarray(weights.sum(axis=1)).ravel()
-    return NeighborGraph(n=n, epsilon=float(epsilon), weights=weights, degree=degree)
+    return NeighborGraph(n=n, epsilon=float(epsilon), weights=weights, degree=degree, points=pts)
 
 
 @dataclass(frozen=True)
 class ConnectivityReport:
     connected: bool
     component_count: int
+    labels: np.ndarray  # component index of each point, 0 .. count - 1
 
 
 def connectivity_check(graph: NeighborGraph) -> ConnectivityReport:
-    """Count the connected components over positive-weight edges."""
-    count, _ = csgraph.connected_components(graph.weights, directed=False)
-    return ConnectivityReport(connected=(count == 1), component_count=int(count))
+    """Label the connected components over positive-weight edges."""
+    count, labels = csgraph.connected_components(graph.weights, directed=False)
+    return ConnectivityReport(connected=(count == 1), component_count=int(count), labels=labels)

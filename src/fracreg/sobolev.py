@@ -285,11 +285,3 @@ def spectral_seminorm(eig: EigenSystem, f_values: np.ndarray, s: float) -> float
     lam = _clamped(eig.values)
     return float(np.sum(lam ** s * coef * coef))
 
-
-def frac_laplacian_constant(s: float, d: int) -> float:
-    """Normalizing constant s 2^(2s) Gamma((d+2s)/2) / Gamma(1-s)."""
-    if not 0.0 < s < 1.0:
-        raise InvalidInputError("s must lie in (0, 1)")
-    if d < 1:
-        raise InvalidInputError("dimension must be at least 1")
-    return s * 2.0 ** (2.0 * s) * math.gamma((d + 2.0 * s) / 2.0) / math.gamma(1.0 - s)

@@ -97,35 +97,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _canonicalize_kernel_cluster(values: np.ndarray, vectors: np.ndarray, n: int):
-    """Rotate the near-zero eigenvalue cluster so the constant comes first.
+def _kernel_basis(graph: NeighborGraph, m: int) -> np.ndarray:
+    """The first min(components, m) vectors of the canonical kernel basis.
 
-    The Laplacian kernel always contains the constant vector; intra-cluster
-    rotation is free, so fixing the first basis vector to the constant makes
-    output deterministic even for disconnected graphs.
+    The constant comes first, then the component indicators in the order of
+    each component's lexicographically smallest point, Gram-Schmidt
+    orthogonalized (positive R diagonal, so each vector is positive on its
+    own component) and scaled to |v|_n = 1.  It depends on the point set,
+    not on the order of the samples.
     """
-    c = int(np.sum(values <= _ZERO_EIGEN_TOL))
-    if c == 0:
-        return vectors
-    Q = vectors[:, :c]
-    ones = np.ones(n)
-    coef = Q.T @ ones / n
-    proj = Q @ coef
-    pnorm = np.sqrt(np.mean(proj * proj))
-    if pnorm < 1.0 - 1e-6:
-        # Constant not (fully) inside the computed span, which eigensolve
-        # avoids by widening a truncated kernel; leave the basis as computed.
-        return vectors
-    b1 = proj / pnorm
-    if c > 1:
-        rest = Q - np.outer(b1, b1 @ Q / n)
-        u, _, _ = np.linalg.svd(rest / np.sqrt(n), full_matrices=False)
-        newQ = np.column_stack([b1] + [u[:, : c - 1] * np.sqrt(n)])
-    else:
-        newQ = b1[:, None]
-    out = vectors.copy()
-    out[:, :c] = newQ
-    return out
+    labels = connectivity_check(graph).labels
+    order = np.lexsort(graph.points.T[::-1])  # first coordinate most significant
+    found, at = np.unique(labels[order], return_index=True)
+    components = found[np.argsort(at)][: min(found.size, m) - 1]
+    spanning = np.column_stack([np.ones(graph.n), labels[:, None] == components])
+    q, r = np.linalg.qr(spanning)
+    return q * np.sign(np.diag(r)) * np.sqrt(graph.n)
 
 
 def _shift_invert(matrix: sparse.csr_matrix, shift: float) -> spla.LinearOperator:
@@ -156,10 +143,27 @@ def _shift_invert(matrix: sparse.csr_matrix, shift: float) -> spla.LinearOperato
     return spla.LinearOperator((n, n), matvec=solve, dtype=float)
 
 
-def _lowest_pairs(op: LaplacianOperator, m: int, dense: bool):
-    """The m smallest eigenpairs, ascending, near-zero eigenvalues snapped to 0."""
+def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
+    """Compute the m algebraically smallest eigenpairs of the operator.
+
+    method is "auto" (dense at or below DENSE_LIMIT, Lanczos shift-invert on
+    a banded Cholesky factor above), or "dense" / "iterative" to force a
+    path.  The iterative path cannot produce a complete basis, so m >= n - 1
+    falls back to dense.  The first vector is the constant.  When the
+    computed spectrum holds two or more zero eigenvalues, the kernel part of
+    the basis is replaced by the canonical one built from the graph's
+    components (_kernel_basis), so fits do not depend on sample order.
+    Raises SolverError carrying the worst residual on non-convergence.
+    """
     n = op.n
-    if dense:
+    if not 1 <= m <= n:
+        raise InvalidInputError("m must lie in [1, n]")
+    if method not in ("auto", "dense", "iterative"):
+        raise InvalidInputError("method must be auto, dense, or iterative")
+    if method == "iterative" and m >= n - 1:
+        raise InvalidInputError("iterative solver requires m <= n - 2")
+
+    if method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1)):
         values, vecs = np.linalg.eigh(op.dense())
         values, vecs = values[:m], vecs[:, :m]
     else:
@@ -186,41 +190,15 @@ def _lowest_pairs(op: LaplacianOperator, m: int, dense: bool):
     # Round-off on the provably-zero kernel eigenvalue would be amplified by
     # fractional powers later; snap the near-zero part of the spectrum to 0.
     snap = 1e-12 * max(1.0, float(values[-1]))
-    return np.where(np.abs(values) <= snap, 0.0, values), vecs
+    values = np.where(np.abs(values) <= snap, 0.0, values)
 
-
-def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
-    """Compute the m algebraically smallest eigenpairs of the operator.
-
-    method is "auto" (dense at or below DENSE_LIMIT, Lanczos shift-invert on
-    a banded Cholesky factor above), or "dense" / "iterative" to force a
-    path.  The iterative path cannot produce a complete basis, so m >= n - 1
-    falls back to dense.  If all m eigenvalues are zero and the graph has
-    more components than m, the whole kernel is solved for and its first m
-    canonical vectors (the constant first) returned.  Raises SolverError
-    carrying the worst residual on non-convergence.
-    """
-    n = op.n
-    if not 1 <= m <= n:
-        raise InvalidInputError("m must lie in [1, n]")
-    if method not in ("auto", "dense", "iterative"):
-        raise InvalidInputError("method must be auto, dense, or iterative")
-    use_dense = method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1))
-    if method == "iterative" and m >= n - 1:
-        raise InvalidInputError("iterative solver requires m <= n - 2")
-
-    values, vecs = _lowest_pairs(op, m, use_dense)
-    if m < n and not np.any(values):
-        # Every computed pair is in the kernel, one dimension per component;
-        # when the kernel is larger than m the constant need not be in the
-        # computed span, so solve for the whole kernel and keep its first m.
-        count = connectivity_check(op.graph).component_count
-        if count > m:
-            values, vecs = _lowest_pairs(op, count, use_dense or count >= n - 1)
-
-    vectors = vecs * np.sqrt(n)  # |v|_n = 1
-    vectors = _fix_signs(_canonicalize_kernel_cluster(values, vectors, n))[:, :m]
-    values = values[:m]
+    vectors = _fix_signs(vecs * np.sqrt(n))  # |v|_n = 1
+    if np.count_nonzero(values <= _ZERO_EIGEN_TOL) >= 2:
+        # one kernel dimension per component; the solver returns an
+        # arbitrary rotation of it, possibly truncated by m
+        basis = _kernel_basis(op.graph, m)
+        vectors[:, : basis.shape[1]] = basis
+    vectors[:, 0] = 1.0
 
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0) / np.sqrt(n)
     worst = float(np.max(residuals))

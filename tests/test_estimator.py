@@ -14,6 +14,7 @@ from fracreg.estimator import (
     fit,
     grid_search,
 )
+from fracreg.experiments import ExperimentConfig, generate
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.spectral import eigensolve, laplacian
 
@@ -99,6 +100,12 @@ class TestTuning:
         with pytest.raises(TuningError):
             choose_epsilon(rule, 1000, 31)
 
+    def test_resolve_is_choose_k_then_epsilon(self):
+        rule = TuningRule(s=0.4, M=1.0, dim=1)
+        for n in (50, 100, 1000):
+            K = choose_K(rule, n)
+            assert rule.resolve(n) == (K, choose_epsilon(rule, n, K))
+
     def test_choose_epsilon_k1_upper_bound(self):
         rule = TuningRule(s=0.5, M=1.0, dim=1, C0=0.9)
         got = choose_epsilon(rule, 500, 1)
@@ -123,6 +130,22 @@ class TestFit:
             res = fit(s, 1, 0.2, KERNEL)
         assert res.component_count == 8
         np.testing.assert_allclose(res.fitted, np.mean(s.responses), rtol=0, atol=1e-12)
+
+    def test_fit_does_not_depend_on_sample_order(self):
+        # rule-tuned f2 sample whose 29 components outnumber K = 12: the fit
+        # projects onto part of the kernel, which must not hang on the order
+        config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
+                                  tuning=TuningRule(s=0.4, M=1.0, dim=1))
+        s = generate(config, 100, 1)
+        K, eps = config.tuning.resolve(100)
+        perm = np.random.default_rng(7).permutation(100)
+        with pytest.warns(DisconnectedGraphWarning):
+            res = fit(s, K, eps, KERNEL)
+            shuffled = fit(SampleSet(s.points[perm], s.responses[perm]), K, eps, KERNEL)
+        assert (K, res.component_count) == (12, 29)
+        unpermuted = np.empty(100)
+        unpermuted[perm] = shuffled.fitted
+        np.testing.assert_allclose(unpermuted, res.fitted, rtol=0, atol=1e-10)
 
     def test_k0_zero_fit(self):
         s = uniform_instance(1)
@@ -206,6 +229,21 @@ class TestGridSearch:
         res = grid_search(s, [1, 2], [0.2], KERNEL, np.sin(s.points[:, 0]))
         assert res.best_fit.component_count == 8
         np.testing.assert_allclose(res.best_fit.eig.vectors[:, 0], 1.0, rtol=0, atol=1e-12)
+
+    def test_surface_equals_the_sequential_sum(self):
+        # reference: the fit grown one vector at a time, in the same order
+        s = uniform_instance(3, n=80)
+        truth = np.sin(s.points[:, 0])
+        K_grid, eps_grid = [7, 0, 3, 12, 1], [0.3, 0.6]
+        res = grid_search(s, K_grid, eps_grid, KERNEL, truth)
+        for j, eps in enumerate(eps_grid):
+            eig = eigensolve(laplacian(build_graph(s, eps, KERNEL), 1), 12)
+            coef = eig.coefficients(s.responses)
+            for i, K in enumerate(K_grid):
+                fitted = np.zeros(s.n)
+                for k in range(K):
+                    fitted = fitted + coef[k] * eig.vectors[:, k]
+                assert res.mse_surface[i, j] == float(np.mean((fitted - truth) ** 2))
 
     def test_noiseless_full_rank_wins(self):
         rng = np.random.default_rng(8)

@@ -8,7 +8,6 @@ from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import (
     bumps,
     continuum_seminorm,
-    frac_laplacian_constant,
     piecewise_constant,
     piecewise_polynomial,
     power_function,
@@ -192,26 +191,6 @@ class TestSpectralSeminorm:
         base = spectral_seminorm(eig, f, 0.4)
         scaled = spectral_seminorm(eig, -2.5 * f, 0.4)
         assert scaled == pytest.approx(2.5 ** 2 * base, rel=1e-10)
-
-
-class TestGammaAndConstant:
-    def test_half_s_one_d(self):
-        assert frac_laplacian_constant(0.5, 1) == pytest.approx(
-            1.0 / math.sqrt(math.pi), rel=1e-12
-        )
-
-    def test_quarter_s_two_d(self):
-        expect = 0.25 * math.sqrt(2.0) * math.gamma(1.25) / math.gamma(0.75)
-        assert frac_laplacian_constant(0.25, 2) == pytest.approx(expect, rel=1e-12)
-
-    def test_vanishes_as_s_to_zero(self):
-        assert frac_laplacian_constant(1e-9, 1) < 1e-8
-
-    def test_domain_checked(self):
-        with pytest.raises(InvalidInputError):
-            frac_laplacian_constant(0.0, 1)
-        with pytest.raises(InvalidInputError):
-            frac_laplacian_constant(0.5, 0)
 
 
 class TestZoo:

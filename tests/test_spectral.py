@@ -4,7 +4,7 @@ from scipy.linalg import subspace_angles
 
 from fracreg import spectral
 from fracreg.errors import InvalidInputError
-from fracreg.graph import KernelSpec, SampleSet, build_graph
+from fracreg.graph import KernelSpec, SampleSet, build_graph, kernel_moments
 from fracreg.spectral import (
     dirichlet_form,
     eigensolve,
@@ -25,6 +25,15 @@ def random_geometric_operator(seed, n=80, dim=2, eps=0.35):
     s = SampleSet(rng.uniform(0, 1, (n, dim)))
     g = build_graph(s, eps, KernelSpec.truncated_gaussian())
     return laplacian(g, dim)
+
+
+def twelve_clusters(perm=None):
+    # 12 well-separated clusters of 10 points, left to right: a 12-dimensional kernel
+    rng = np.random.default_rng(3)
+    x = (np.arange(12)[:, None] + rng.uniform(0, 0.3, (12, 10))).ravel()
+    if perm is not None:
+        x = x[perm]
+    return laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()), 1)
 
 
 def eigen_clusters(values, gap=1e-8):
@@ -139,13 +148,67 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
     def test_kernel_larger_than_m_starts_with_constant(self, method):
-        # 12 well-separated clusters of 10 points: a 12-dimensional kernel
-        rng = np.random.default_rng(3)
-        x = (np.arange(12)[:, None] + rng.uniform(0, 0.3, (12, 10))).ravel()
-        op = laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()), 1)
-        eig = eigensolve(op, 4, method)
+        eig = eigensolve(twelve_clusters(), 4, method)
         assert eig.m == 4 and np.all(eig.values == 0.0)
         np.testing.assert_allclose(eig.vectors[:, 0], 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_truncated_kernel_takes_one_solve(self, method, monkeypatch):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(spectral.spla, "eigsh", counting(spectral.spla.eigsh))
+        eig = eigensolve(twelve_clusters(), 4, method)
+        assert calls == ["eigh" if method == "dense" else "eigsh"]
+        assert np.all(eig.vectors[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_kernel_basis_is_gram_schmidt_of_indicators_left_to_right(self, method):
+        op = twelve_clusters()
+        cluster = np.repeat(np.arange(12), 10)
+        eig = eigensolve(op, 5, method)
+        spanning = np.column_stack([np.ones(op.n)] + [cluster == c for c in range(4)])
+        expected = np.empty((op.n, 5))
+        for k in range(5):  # classical Gram-Schmidt in |.|_n
+            v = spanning[:, k] - expected[:, :k] @ (expected[:, :k].T @ spanning[:, k] / op.n)
+            expected[:, k] = v / np.sqrt(np.mean(v * v))
+        np.testing.assert_allclose(eig.vectors, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_kernel_basis_follows_the_points_under_permutation(self, method):
+        op = twelve_clusters()
+        perm = np.random.default_rng(11).permutation(op.n)
+        shuffled = twelve_clusters(perm)
+        base, moved = eigensolve(op, 6, method), eigensolve(shuffled, 6, method)
+        np.testing.assert_allclose(moved.vectors, base.vectors[perm], rtol=0, atol=1e-12)
+
+    def test_kernel_basis_orders_components_lexicographically_in_2d(self):
+        # components a and b share their smallest first coordinate; the second decides
+        rng = np.random.default_rng(4)
+        a = np.column_stack([np.r_[0.0, rng.uniform(0, 0.3, 7)], rng.uniform(0, 0.3, 8)])
+        b = a + [0.0, 10.0]
+        c = a + [5.0, -3.0]
+        pts = np.vstack([c, b, a])
+        for perm in (np.arange(24), np.random.default_rng(5).permutation(24)):
+            g = build_graph(SampleSet(pts[perm]), 1.0, KernelSpec.indicator())
+            v = eigensolve(laplacian(g, 2), 3, "dense").vectors
+            which = np.repeat([2, 1, 0], 8)[perm]  # c, b, a -> order a, b, c
+            assert np.all(v[which == 0, 1] > 0) and np.all(v[which != 0, 1] < 0)
+            assert np.all(np.abs(v[which == 0, 2]) < 1e-12) and np.all(v[which == 1, 2] > 0)
+
+    def test_components_within_m_fill_the_kernel(self):
+        # 12 components, m = 20: 12 kernel vectors, then the smallest positive pairs
+        op = twelve_clusters()
+        eig = eigensolve(op, 20, "dense")
+        assert np.count_nonzero(eig.values == 0.0) == 12 and eig.values[12] > 0.0
+        gram = eig.vectors.T @ eig.vectors / op.n
+        assert np.max(np.abs(gram - np.eye(20))) < 1e-10
 
     def test_connected_graph_needs_no_component_count(self, monkeypatch):
         def forbidden(graph):
@@ -167,6 +230,24 @@ class TestEigensolve:
         first = rows[1].split(",")
         assert float(first[1]) <= 1e-8
         assert [float(v) for v in first[2:]] == pytest.approx([1.0, 1.0, 1.0])
+
+
+class TestContinuumLimit:
+    # Uniform design on (0, 5), density p = 0.2: the graph eigenvalues approach
+    # the Neumann spectrum of -(sigma1 p / 2) d^2/dx^2, that is
+    # lambda_{k+1} -> (sigma1 p / 2) (pi k / 5)^2 (Garcia Trillos, Gerlach,
+    # Hein, Slepcev 2020; Green, Balakrishnan, Tibshirani 2021).  The design
+    # noise and the O(eps) bias shrink with n, and so does the tolerance.
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, eps", [(1000, 0.25), (4000, 0.15)])
+    def test_low_spectrum_matches_continuum_neumann_eigenvalues(self, n, eps, seed):
+        kernel = KernelSpec.truncated_gaussian(0.4)
+        x = np.random.default_rng(seed).uniform(0.0, 5.0, n)
+        eig = eigensolve(laplacian(build_graph(SampleSet(x[:, None]), eps, kernel), 1), 12)
+        k = np.arange(1, 12)
+        predicted = kernel_moments(kernel, 1).sigma1 * 0.2 / 2.0 * (np.pi * k / 5.0) ** 2
+        ratio = eig.values[1:] / predicted
+        assert np.max(np.abs(ratio - 1.0)) < 0.25 * (n / 1000.0) ** (-1.0 / 3.0)
 
 
 class TestFractionalApply:
