@@ -70,8 +70,9 @@ def _load_entries(args) -> dict:
 
 
 def _write_echo(out_dir, echo: dict):
+    text = cfg.serialize(echo)  # a value it cannot write fails before the file is opened
     with open(os.path.join(out_dir, "config_echo.txt"), "w") as fh:
-        fh.write(cfg.serialize(echo))
+        fh.write(text)
 
 
 def _kernel_from_view(view: cfg.ConfigView):
@@ -420,7 +421,8 @@ def main(argv=None) -> int:
 
     try:
         entries = _load_entries(args)
-        _HANDLERS[args.command](args, out_dir, entries)
+        with xp._one_blas_thread():  # outputs must not depend on the BLAS thread count
+            _HANDLERS[args.command](args, out_dir, entries)
         return EXIT_OK
     except TuningError as exc:
         code, kind, err = EXIT_TUNING, "tuning", exc

@@ -11,8 +11,8 @@ Values are integers, floats, booleans (true/false), bare or double-quoted
 strings, or flat lists of numbers.  Keys may repeat neither; unknown keys are
 rejected by each schema so typos fail before any computation starts.
 serialize writes a string quoted whenever its bare text would read back as
-something else; there is no escape, so a string holding a double quote need
-not survive the round trip.
+something else.  There is no escape, so it rejects a string holding a double
+quote rather than write one that reads back changed.
 """
 
 from __future__ import annotations
@@ -113,8 +113,11 @@ def _format_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     text = str(value)
+    if '"' in text:
+        raise ConfigError("cannot write %r: a config string has no escape for a double quote"
+                          % text)
     # quote whatever would not read back bare as this same string ("12", "true", "")
-    if (not text or any(c in text for c in '#="[]') or " " in text
+    if (not text or any(c in text for c in '#=[]') or " " in text
             or _parse_scalar(text, "", 0) != text):
         return '"%s"' % text
     return text

@@ -15,13 +15,7 @@ import numpy as np
 
 from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, TuningError
-from fracreg.graph import (
-    ConnectivityReport,
-    KernelSpec,
-    SampleSet,
-    build_graph,
-    connectivity_check,
-)
+from fracreg.graph import ConnectivityReport, KernelSpec, SampleSet, build_graph
 from fracreg.spectral import EigenSystem, eigensolve, laplacian
 
 
@@ -138,7 +132,7 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
     if not 0 <= K <= n:
         raise InvalidInputError("K must lie in [0, n]")
     graph = build_graph(samples, epsilon, kernel)
-    report = connectivity_check(graph)
+    report = graph.components
     if not report.connected:
         warnings.warn(
             "graph at epsilon=%.6g has %d components" % (epsilon, report.component_count),
@@ -230,7 +224,7 @@ def grid_search(
     best_mse, best_K, best_eps = best
     graph, eig = winner
     return GridSearchResult(
-        best_fit=_regression_fit(eig, y, best_K, best_eps, connectivity_check(graph)),
+        best_fit=_regression_fit(eig, y, best_K, best_eps, graph.components),
         best_mse=best_mse,
         K_grid=tuple(K_grid),
         eps_grid=tuple(eps_grid),

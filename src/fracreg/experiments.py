@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -239,17 +240,20 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
     return slope, math.sqrt(rss / (m - 2) / sxx)
 
 
+@functools.cache
 def _openblas_handles():
     """(set, get) thread-count functions of each OpenBLAS this process loaded.
 
     Found through /proc/self/maps, so on other systems, or with another
-    BLAS, the list is empty and sweeps run at the library's thread count.
+    BLAS, the tuple is empty and runs keep the library's thread count.
+    Looked up once per process: importing this module has already loaded
+    numpy's and scipy's BLAS, and a lookup costs about a millisecond.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return []
+        return ()
     handles = []
     for path in paths:
         try:
@@ -260,7 +264,7 @@ def _openblas_handles():
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 handles.append((getattr(lib, set_name), getattr(lib, get_name)))
                 break
-    return handles
+    return tuple(handles)
 
 
 def _pin_one_blas_thread():

@@ -9,12 +9,12 @@ minus adjacency difference, so the Laplacian downstream is unaffected.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy import integrate
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
@@ -176,6 +176,8 @@ def kernel_moments(kernel: KernelSpec, dim: int) -> KernelMoments:
     """
     if dim < 1:
         raise InvalidInputError("dimension must be at least 1")
+    from scipy import integrate  # here: its import adds about 0.1 s to every CLI start
+
     surface = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
     m0, _ = integrate.quad(lambda r: kernel(r) * r ** (dim - 1), 0.0, 1.0,
                            epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -197,6 +199,11 @@ class NeighborGraph:
     weights: sparse.csr_matrix
     degree: np.ndarray
     points: np.ndarray
+
+    @functools.cached_property
+    def components(self) -> "ConnectivityReport":
+        """The connected components, labelled once per graph."""
+        return connectivity_check(self)
 
     def edge_arrays(self):
         """Return (rows, cols, w) over all stored (ordered) entries."""

@@ -17,7 +17,7 @@ from scipy.sparse import csgraph
 
 from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, SolverError
-from fracreg.graph import NeighborGraph, connectivity_check
+from fracreg.graph import NeighborGraph
 
 # Dense symmetric solver at or below this size; iterative Krylov above.
 # The dense path doubles as the oracle for the iterative one.
@@ -106,7 +106,7 @@ def _kernel_basis(graph: NeighborGraph, m: int) -> np.ndarray:
     own component) and scaled to |v|_n = 1.  It depends on the point set,
     not on the order of the samples.
     """
-    labels = connectivity_check(graph).labels
+    labels = graph.components.labels
     order = np.lexsort(graph.points.T[::-1])  # first coordinate most significant
     found, at = np.unique(labels[order], return_index=True)
     components = found[np.argsort(at)][: min(found.size, m) - 1]
@@ -115,32 +115,30 @@ def _kernel_basis(graph: NeighborGraph, m: int) -> np.ndarray:
     return q * np.sign(np.diag(r)) * np.sqrt(graph.n)
 
 
-def _shift_invert(matrix: sparse.csr_matrix, shift: float) -> spla.LinearOperator:
-    """(A - shift I)^-1 as an operator, through one banded Cholesky factor.
+def _shift_invert(matrix: sparse.csr_matrix, shift: float,
+                  position: np.ndarray) -> spla.LinearOperator:
+    """(A - shift I)^-1 in reverse Cuthill-McKee order, by one banded Cholesky factor.
 
-    A - shift I is symmetric positive definite for a PSD Laplacian and
-    shift < 0.  Reverse Cuthill-McKee ordering packs the epsilon-graph into
-    a band of half-width b (in 1-D, essentially the sorted points), so the
-    factor takes (b + 1) n doubles and each solve O(b n) work.
+    position[i] is the RCM index of point i.  A - shift I is symmetric
+    positive definite for a PSD Laplacian and shift < 0.  RCM packs the
+    epsilon-graph into a band of half-width b (in 1-D, essentially the
+    sorted points), so LAPACK pbtrf factors it in (b + 1) n doubles and each
+    pbtrs solve takes O(b n) work, with no permutation per solve.
     """
     n = matrix.shape[0]
-    perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    shifted = matrix[perm][:, perm] - shift * sparse.identity(n, format="csr")
-    upper = sparse.triu(shifted, format="coo")
-    b = int(np.max(upper.col - upper.row))
-    band = np.zeros((b + 1, n))  # LAPACK upper band storage
-    band[b + upper.row - upper.col, upper.col] = upper.data
-    try:
-        factor = linalg.cholesky_banded(band, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("shifted Laplacian is not positive definite: %s" % exc) from exc
-
-    def solve(x):
-        out = np.empty_like(x)
-        out[perm] = linalg.cho_solve_banded((factor, False), x[perm], check_finite=False)
-        return out
-
-    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    coo = matrix.tocoo()
+    row, col = position[coo.row], position[coo.col]
+    upper = row <= col
+    row, col = row[upper], col[upper]
+    b = int(np.max(col - row, initial=0))
+    band = np.zeros((b + 1, n), order="F")  # LAPACK upper band storage
+    band[b + row - col, col] = coo.data[upper]
+    band[b] -= shift
+    pbtrf, pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    factor, info = pbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise SolverError("shifted Laplacian is not positive definite (pbtrf info %d)" % info)
+    return spla.LinearOperator((n, n), matvec=lambda x: pbtrs(factor, x)[0], dtype=float)
 
 
 def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
@@ -170,13 +168,17 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
         diag = op.matrix.diagonal()
         shift = -1e-3 * (float(np.mean(diag)) + 1e-30)
         v0 = np.random.Generator(np.random.Philox(key=0x5EED0F00D)).standard_normal(n)
+        perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
+        position = np.argsort(perm)
+        # ARPACK iterates in RCM order; shift-invert mode applies only OPinv,
+        # never the matrix it is handed
         try:
-            values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0,
-                                      OPinv=_shift_invert(op.matrix, shift))
+            values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0[perm],
+                                      OPinv=_shift_invert(op.matrix, shift, position))
         except spla.ArpackNoConvergence as exc:
             worst = None
             if exc.eigenvalues is not None and len(exc.eigenvalues):
-                ev, evec = exc.eigenvalues, exc.eigenvectors
+                ev, evec = exc.eigenvalues, exc.eigenvectors[position]
                 res = np.linalg.norm(op.matrix @ evec - evec * ev, axis=0)
                 worst = float(np.max(res)) / np.sqrt(n)
             raise SolverError(
@@ -185,7 +187,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
                 worst_residual=worst,
             ) from exc
         order = np.argsort(values)
-        values, vecs = values[order], vecs[:, order]
+        values, vecs = values[order], vecs[np.ix_(position, order)]
 
     # Round-off on the provably-zero kernel eigenvalue would be amplified by
     # fractional powers later; snap the near-zero part of the spectrum to 0.

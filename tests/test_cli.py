@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracreg
 from fracreg import cli
 from fracreg import config as cfgmod
+from fracreg import experiments
 from fracreg.errors import SolverError
 from fracreg.graph import SampleSet
 from fracreg.sobolev import zoo
@@ -233,6 +237,17 @@ meta.M = 1.0
         assert data_rows[0] == "index,x1,y,fitted"
         assert len(data_rows) == 41
 
+    def test_data_path_with_a_double_quote_fails_before_reading_data(self, tmp_path, monkeypatch):
+        def forbidden(cls, path):
+            raise AssertionError("data file read")
+
+        monkeypatch.setattr(SampleSet, "load_csv", classmethod(forbidden))
+        cfg = write(tmp_path / "fit.txt", 'data = a"#b\nK = 2\nepsilon = 0.8\n')
+        out = str(tmp_path / "o")
+        assert run_cli("fit", "--config", cfg, "--out", out) == 2
+        assert "kind = input" in open(os.path.join(out, "error.txt")).read()
+        assert not os.path.exists(os.path.join(out, "config_echo.txt"))
+
     def test_fit_needs_responses(self, tmp_path):
         x = np.linspace(0, 4, 20)
         SampleSet(x[:, None]).save_csv(tmp_path / "data.csv")
@@ -321,3 +336,73 @@ class TestZooCommand:
             view = cfgmod.ConfigView(entries)
             parsed = cli.function_from_view(view)
             assert parsed == fn
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(fracreg.__file__))
+
+
+def run_subprocess(args, env_extra, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, **env_extra)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("command, config", [
+        ("eigen", "n = 400\nseed = 1\nepsilon = 0.3\nm = 64\n"),  # dense eigh
+        ("eigen", "n = 4000\nseed = 1000003\nepsilon = 0.25\nm = 64\n"),  # shift-invert
+        ("gridsearch", "truth = f2\nn = 500\nseed = 3\n"
+                       "grids.k = [1, 4, 16, 32]\ngrids.eps = [0.12, 0.5]\n"),
+    ], ids=["eigen-dense", "eigen-iterative", "gridsearch"])
+    def test_outputs_do_not_depend_on_the_blas_environment(self, tmp_path, command, config):
+        cfg = write(tmp_path / "c.txt", config)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("blas" + threads)
+            done = run_subprocess(["-m", "fracreg.cli", command, "--config", cfg,
+                                   "--out", str(out)],
+                                  {"OPENBLAS_NUM_THREADS": threads}, tmp_path)
+            assert done.returncode == 0, done.stderr
+            outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+        assert outputs[0] == outputs[1]
+
+    def test_handlers_run_at_one_blas_thread(self, tmp_path, monkeypatch):
+        handles = experiments._openblas_handles()
+        assert handles
+        saved = [get_threads() for _, get_threads in handles]
+        seen = {}
+
+        def spying(name, handler):
+            def wrapper(args, out_dir, entries):
+                seen[name] = [get_threads() for _, get_threads in handles]
+                return handler(args, out_dir, entries)
+            return wrapper
+
+        for name in ("eigen", "fit", "gridsearch"):
+            monkeypatch.setitem(cli._HANDLERS, name, spying(name, cli._HANDLERS[name]))
+        x = np.linspace(0, 4, 30)
+        SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
+        configs = {
+            "eigen": "n = 50\nseed = 1\nepsilon = 0.5\nm = 4\n",
+            "fit": "data = %s\nK = 3\nepsilon = 0.8\n" % (tmp_path / "data.csv"),
+            "gridsearch": "truth = f2\nn = 50\nseed = 1\ngrids.k = [1, 4]\ngrids.eps = [1.0]\n",
+        }
+        try:
+            for set_threads, _ in handles:
+                set_threads(2)
+            before = [get_threads() for _, get_threads in handles]
+            for name, text in configs.items():
+                cfg = write(tmp_path / ("%s.txt" % name), text)
+                assert run_cli(name, "--config", cfg, "--out", str(tmp_path / name)) == 0
+                assert seen[name] == [1] * len(handles)
+                assert [get_threads() for _, get_threads in handles] == before
+        finally:
+            for (set_threads, _), count in zip(handles, saved):
+                set_threads(count)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    probe = "import sys, fracreg.cli; print('scipy.integrate' in sys.modules)"
+    done = run_subprocess(["-c", probe], {}, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

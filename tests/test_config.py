@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,12 @@ def test_parse_inverts_serialize(mapping):
 @given(STRINGS)
 def test_strings_stay_strings(text):
     assert cfgmod.parse_text(cfgmod.serialize({"data": text}))["data"].value == text
+
+
+def test_string_with_a_double_quote_is_refused():
+    # written bare it would read back cut at the '#': k = "a"#b" -> a
+    with pytest.raises(cfgmod.ConfigError):
+        cfgmod.serialize({"k": 'a"#b'})
 
 
 def test_strings_that_read_as_other_values_are_quoted():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracreg import graph as graph_module
 from fracreg.errors import InvalidInputError, TuningError
 from fracreg.estimator import (
     DisconnectedGraphWarning,
@@ -146,6 +147,26 @@ class TestFit:
         unpermuted = np.empty(100)
         unpermuted[perm] = shuffled.fitted
         np.testing.assert_allclose(unpermuted, res.fitted, rtol=0, atol=1e-10)
+
+    def test_components_are_labelled_once(self, monkeypatch):
+        # rule-tuned f2 sample with 29 components: the solver builds its kernel basis from them too
+        config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
+                                  tuning=TuningRule(s=0.4, M=1.0, dim=1))
+        s = generate(config, 100, 1)
+        K, eps = config.tuning.resolve(100)
+        calls = []
+        real = graph_module.connectivity_check
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(graph_module, "connectivity_check", counting)
+        with pytest.warns(DisconnectedGraphWarning):
+            assert fit(s, K, eps, KERNEL).component_count == 29
+        assert len(calls) == 1
+        grid_search(s, [K], [eps], KERNEL, config.truth_function()(s.points[:, 0]))
+        assert len(calls) == 2
 
     def test_k0_zero_fit(self):
         s = uniform_instance(1)

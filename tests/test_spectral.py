@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import subspace_angles
+from scipy.sparse import csgraph
 
 from fracreg import spectral
-from fracreg.errors import InvalidInputError
+from fracreg.errors import InvalidInputError, SolverError
 from fracreg.graph import KernelSpec, SampleSet, build_graph, kernel_moments
 from fracreg.spectral import (
+    LaplacianOperator,
     dirichlet_form,
     eigensolve,
     fractional_apply,
@@ -126,6 +129,38 @@ class TestEigensolve:
             ang = subspace_angles(dense.vectors[:, idx], iterative.vectors[:, idx])
             assert ang.max() < 1e-6
 
+    def test_iterative_matches_dense_oracle_in_2d_at_iterative_size(self):
+        # in 2-D the reverse Cuthill-McKee order is no sort of the points
+        op = random_geometric_operator(16, n=600, eps=0.15)
+        dense = eigensolve(op, 24, method="dense")
+        iterative = eigensolve(op, 24)
+        assert np.max(np.abs(dense.values - iterative.values)) < 1e-8
+        for cluster in eigen_clusters(dense.values):
+            idx = list(cluster)
+            ang = subspace_angles(dense.vectors[:, idx], iterative.vectors[:, idx])
+            assert ang.max() < 1e-6
+
+    def test_indefinite_shifted_operator_is_a_solver_error(self):
+        # the negated Laplacian makes the shift positive and A - shift I negative definite
+        op = random_geometric_operator(17, n=600, eps=0.15)
+        negated = LaplacianOperator(graph=op.graph, dim=op.dim, matrix=-op.matrix)
+        with pytest.raises(SolverError, match="not positive definite"):
+            eigensolve(negated, 8, method="iterative")
+
+    def test_no_convergence_residual_reads_the_vectors_in_rcm_order(self, monkeypatch):
+        # ARPACK hands back its partial pairs in the order it iterated in
+        op = random_geometric_operator(18, n=600, eps=0.15)
+        values, vectors = np.linalg.eigh(op.dense())
+        perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", values[:k], vectors[perm, :k])
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        with pytest.raises(SolverError) as err:
+            eigensolve(op, 8, method="iterative")
+        assert err.value.worst_residual < spectral._RESIDUAL_TOL
+
     def test_sign_convention(self):
         op = random_geometric_operator(7)
         eig = eigensolve(op, 10)
@@ -214,7 +249,7 @@ class TestEigensolve:
         def forbidden(graph):
             raise AssertionError("components counted for a connected graph")
 
-        monkeypatch.setattr(spectral, "connectivity_check", forbidden)
+        monkeypatch.setattr("fracreg.graph.connectivity_check", forbidden)
         op = random_geometric_operator(4)
         for method in ("dense", "iterative"):
             assert eigensolve(op, 2, method).values[1] > 0.0
