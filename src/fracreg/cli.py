@@ -307,11 +307,12 @@ def _cmd_seminorm(args, out_dir, entries):
     else:
         fn = function_from_view(view)
         fn_echo = function_to_mapping(fn)
-    raw_s = view.require("s")
-    s_values = [float(v) for v in raw_s] if isinstance(raw_s, list) else [float(raw_s)]
-    for s in s_values:
-        if not 0.0 < s < 1.0:
-            raise ConfigError("s must lie in (0,1)", key="s")
+    if isinstance(view.require("s"), list):
+        s_values = view.get_list("s", kind=float)
+        if not s_values or not all(0.0 < s < 1.0 for s in s_values):
+            view._fail("s", "'s' must be a non-empty list of numbers in (0,1)")
+    else:
+        s_values = [view.get_unit_open("s", required=True)]
     level = view.get_int("level", default=12, minimum=7)
     view.reject_unknown()
 

@@ -5,8 +5,8 @@ polynomials, bumps), the continuum seminorm
 
     |u|^2 = int int |u(x) - u(y)|^2 / |x - y|^(1+2s) dx dy
 
-by singular-integral quadrature with diagonal-band exclusion, the spectral
-(graph) seminorm, and the fractional-Laplacian normalizing constant.
+by singular-integral quadrature with diagonal-band exclusion, and the
+spectral (graph) seminorm.
 
 Quadrature scheme: composite midpoint on a 2^level x 2^level tensor grid.
 Cells touching the diagonal x = y (lag 0 and 1) are excluded, so the band
@@ -14,11 +14,14 @@ shrinks with the mesh; its contribution is recovered by geometric
 extrapolation of the refinement increments.  For members of the space the
 increments decay geometrically and the extrapolated sequence is Cauchy; for
 non-members the increments themselves keep growing, which is the divergence
-signature reported back to the caller.
+signature reported back to the caller.  Only the kernel depends on s: the
+lag sums are computed once per level per function object and shared by
+every s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +109,11 @@ class TestFunction:
         if np.ndim(x) == 0:
             return float(out)
         return out
+
+    @functools.cached_property
+    def _lag_memo(self) -> dict:
+        """level -> _level_lags result; per object, so equal copies share nothing."""
+        return {}
 
     def _piece_index(self, arr):
         # (b_i, b_{i+1}] binning: a point equal to an interior breakpoint
@@ -207,18 +215,16 @@ def _lag_sums(f: np.ndarray) -> np.ndarray:
     return np.maximum(head + tail - 2.0 * ac[k], 0.0)
 
 
-def _level_sum(fn: TestFunction, s: float, level: int) -> float:
-    """Midpoint tensor-grid sum at one level, lags 0 and 1 excluded."""
-    a, b = fn.domain
-    N = 1 << level
-    h = (b - a) / N
-    mid = a + (np.arange(N) + 0.5) * h
-    fvals = np.asarray(fn(mid), dtype=float)
-    G = _lag_sums(fvals)
-    k = np.arange(1, N)
-    mask = k >= 2
-    contrib = G[mask] * (k[mask] * h) ** (-1.0 - 2.0 * s) * h * h
-    return 2.0 * float(np.sum(contrib))
+def _level_lags(fn: TestFunction, level: int):
+    """(G at lags >= 2, h) on the 2^level midpoint grid; independent of s."""
+    memo = fn._lag_memo
+    if level not in memo:
+        a, b = fn.domain
+        N = 1 << level
+        h = (b - a) / N
+        mid = a + (np.arange(N) + 0.5) * h
+        memo[level] = (_lag_sums(np.asarray(fn(mid), dtype=float))[1:], h)
+    return memo[level]
 
 
 def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> SeminormResult:
@@ -233,9 +239,16 @@ def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> Semi
         raise InvalidInputError("s must lie in (0, 1)")
     if refinement < 7:
         raise InvalidInputError("refinement level must be at least 7")
-    levels = list(range(4, refinement + 1))
-    seq = np.array([_level_sum(fn, s, lv) for lv in levels])
     N = 1 << refinement
+    # (k h)^(-1-2s) at the finest lags k = 2..N-1.  Lag k at level lv is the
+    # finest lag k * 2^(refinement - lv), bit for bit, since h only halves.
+    weights = (np.arange(2, N) * _level_lags(fn, refinement)[1]) ** (-1.0 - 2.0 * s)
+    sums = []
+    for lv in range(4, refinement + 1):
+        G, h = _level_lags(fn, lv)
+        step = 1 << (refinement - lv)
+        sums.append(2.0 * float(np.sum(G * weights[2 * step - 2::step] * h * h)))
+    seq = np.array(sums)
     cells = (N - 1) * (N - 2)  # included ordered cell pairs at the finest level
 
     inc = np.diff(seq)

@@ -283,6 +283,14 @@ level = 11
         cfg = write(tmp_path / "sem.txt", "truth = f2\ns = 1.5\n")
         assert run_cli("seminorm", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "[]", '"0.5"'], ids=["word", "empty_list", "quoted"])
+    def test_s_that_is_not_a_number_in_range(self, tmp_path, value):
+        cfg = write(tmp_path / "sem.txt", "truth = f2\ns = %s\nlevel = 7\n" % value)
+        out = tmp_path / "o"
+        assert run_cli("seminorm", "--config", cfg, "--out", str(out)) == 2
+        assert cfgmod.parse_text((out / "error.txt").read_text())["code"].value == 2
+        assert not (out / "config_echo.txt").exists()
+
 
 class TestEigenCommand:
     def test_generated_design_lambda1(self, tmp_path):

@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from fracreg import cli, sobolev
 from fracreg.errors import InvalidInputError
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import (
@@ -148,6 +150,84 @@ class TestContinuumSeminorm:
         res = continuum_seminorm(UNIT_STEP, 0.25, refinement=8)
         n = 1 << 8
         assert res.quadrature_cells == (n - 1) * (n - 2)
+
+
+def bits(res):
+    """The floats of a result as hex strings, so equality is bitwise."""
+    return (res.value.hex(), res.estimated_error.hex(), [r.hex() for r in res.refinements])
+
+
+class TestLagMemo:
+    """The s-independent lag sums are computed once per level per function object."""
+
+    S_VALUES = [round(0.05 * i, 2) for i in range(1, 20)]
+
+    @pytest.fixture
+    def lag_calls(self, monkeypatch):
+        calls = []
+        real = sobolev._lag_sums
+
+        def counting(f):
+            calls.append(f.shape[0])
+            return real(f)
+
+        monkeypatch.setattr(sobolev, "_lag_sums", counting)
+        return calls
+
+    def test_one_cli_call_sums_each_level_once(self, tmp_path, lag_calls):
+        config = tmp_path / "sem.txt"
+        config.write_text("truth = f2\ns = %s\nlevel = 12\n" % self.S_VALUES)
+        assert cli.main(["seminorm", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(lag_calls) == [1 << level for level in range(4, 13)]
+
+    def test_equal_functions_share_nothing(self, lag_calls):
+        for _ in range(2):
+            fn = zoo_function("f2")
+            for s in self.S_VALUES:
+                continuum_seminorm(fn, s, 12)
+        assert len(lag_calls) == 2 * 9
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_results_do_not_depend_on_the_order_of_s(self, name):
+        s_values = [0.1, 0.3, 0.45, 0.5, 0.7, 0.9]
+        fn = zoo_function(name)
+        ascending = [bits(continuum_seminorm(fn, s, 10)) for s in s_values]
+        fn = zoo_function(name)
+        descending = [bits(continuum_seminorm(fn, s, 10)) for s in reversed(s_values)]
+        alone = [bits(continuum_seminorm(zoo_function(name), s, 10)) for s in s_values]
+        assert ascending == descending[::-1] == alone
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_refinements_equal_the_direct_level_sums(self, name):
+        def direct(fn, s, level):
+            # evaluate, lag-sum and weight at this level alone
+            a, b = fn.domain
+            N = 1 << level
+            h = (b - a) / N
+            G = sobolev._lag_sums(fn(a + (np.arange(N) + 0.5) * h))
+            return 2.0 * float(np.sum(G[1:] * (np.arange(2, N) * h) ** (-1.0 - 2.0 * s) * h * h))
+
+        fn = zoo_function(name)
+        for s in (0.15, 0.5, 0.85):
+            got = continuum_seminorm(fn, s, 11).refinements
+            assert [r.hex() for r in got] == [direct(fn, s, lv).hex() for lv in range(4, 12)]
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_coarser_refinement_is_a_prefix(self, name):
+        for s in (0.15, 0.5, 0.85):
+            fine = continuum_seminorm(zoo_function(name), s, 12).refinements
+            coarse = continuum_seminorm(zoo_function(name), s, 9).refinements
+            assert [r.hex() for r in coarse] == [r.hex() for r in fine[:6]]
+
+    def test_memo_leaves_identity_alone(self):
+        fn = zoo_function("f3")
+        before = continuum_seminorm(fn, 0.3, 9)
+        assert fn._lag_memo
+        fresh = zoo_function("f3")
+        assert fn == fresh and hash(fn) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(fn))
+        assert copy == fn and hash(copy) == hash(fn)
+        assert bits(continuum_seminorm(copy, 0.3, 9)) == bits(before)
 
 
 class TestSpectralSeminorm:
