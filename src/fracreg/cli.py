@@ -1,6 +1,6 @@
 """Command-line surface tying the modules together.
 
-Subcommands: fit, sweep, seminorm, eigen, gridsearch, zoo.  Every run reads
+Commands: fit, sweep, seminorm, eigen, gridsearch, zoo.  Every run reads
 one structured-text config, writes an effective-config echo plus its
 artifacts under the output directory, and returns a family-coded exit
 status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io.
@@ -37,20 +37,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fracreg",
         description="Eigenmap regression, fractional-Sobolev tools, and rate experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("fit", True), ("sweep", True), ("seminorm", True),
-        ("eigen", True), ("gridsearch", True), ("zoo", False),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="path to the config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: $%s)" % OUT_ENV_VAR)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size (default: machine parallelism)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", help="path to the config file (required except for zoo)")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: $%s)" % OUT_ENV_VAR)
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker pool size (default: machine parallelism)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key (repeatable)")
     return parser
 
 
@@ -210,11 +205,10 @@ def function_from_view(view: cfg.ConfigView) -> sobolev.TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_sweep(args, out_dir, view):
     config, echo = _experiment_config_from_view(view)
     curve_points = view.get_int("curve.points", minimum=2)
     curve_n = view.get_int("curve.n", minimum=2)
@@ -243,8 +237,7 @@ def _cmd_sweep(args, out_dir, entries):
              report.fitted_slope, report.theoretical_slope))
 
 
-def _cmd_gridsearch(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_gridsearch(args, out_dir, view):
     config, echo = _experiment_config_from_view(view, single_n=True)
     if config.k_grid is None:
         raise ConfigError("gridsearch requires grids.k and grids.eps", key="grids.k")
@@ -267,8 +260,7 @@ def _cmd_gridsearch(args, out_dir, entries):
           % (result.best_K, result.best_epsilon, result.best_mse))
 
 
-def _cmd_fit(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_fit(args, out_dir, view):
     data_path = view.get_str("data", required=True)
     K = view.get_int("K", required=True, minimum=0)
     epsilon = view.get_float("epsilon", required=True, gt=0.0)
@@ -299,8 +291,7 @@ def _cmd_fit(args, out_dir, entries):
           % (samples.n, K, epsilon, result.connected))
 
 
-def _cmd_seminorm(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_seminorm(args, out_dir, view):
     if view.has("truth"):
         fn = sobolev.zoo_function(view.get_str("truth", required=True))
         fn_echo = {"truth": view.raw("truth")}
@@ -313,13 +304,11 @@ def _cmd_seminorm(args, out_dir, entries):
             view._fail("s", "'s' must be a non-empty list of numbers in (0,1)")
     else:
         s_values = [view.get_unit_open("s", required=True)]
-    level = view.get_int("level", default=12, minimum=7)
+    level = view.get_int("level", default=12, minimum=7, maximum=sobolev.MAX_REFINEMENT)
     view.reject_unknown()
 
-    echo = dict(fn_echo)
-    echo["s"] = s_values if len(s_values) > 1 else s_values[0]
-    echo["level"] = level
-    _write_echo(out_dir, echo)
+    _write_echo(out_dir, dict(fn_echo, s=s_values if len(s_values) > 1 else s_values[0],
+                              level=level))
 
     results = [sobolev.continuum_seminorm(fn, s, refinement=level) for s in s_values]
     n_levels = len(results[0].refinements)
@@ -335,8 +324,7 @@ def _cmd_seminorm(args, out_dir, entries):
         print("seminorm: s=%g %s" % (res.s, status))
 
 
-def _cmd_eigen(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_eigen(args, out_dir, view):
     kernel, kernel_echo = _kernel_from_view(view)
     data_path = view.get_str("data") if view.has("data") else None
     echo = {}
@@ -378,8 +366,7 @@ def _cmd_eigen(args, out_dir, entries):
           % (samples.n, m, epsilon, eig.values[0]))
 
 
-def _cmd_zoo(args, out_dir, entries):
-    view = cfg.ConfigView(entries, source=args.config or "<config>")
+def _cmd_zoo(args, out_dir, view):
     view.reject_unknown()
     for name, fn in sorted(sobolev.zoo().items()):
         with open(os.path.join(out_dir, "%s.txt" % name), "w") as fh:
@@ -409,7 +396,12 @@ def _error_record(out_dir, code, kind, message):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None and args.command != "zoo":
+        parser.error("the following arguments are required: --config")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     out_dir = args.out or os.environ.get(OUT_ENV_VAR)
     if not out_dir:
         print("fracreg: no output directory (--out or $%s)" % OUT_ENV_VAR, file=sys.stderr)
@@ -421,9 +413,9 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        entries = _load_entries(args)
+        view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
         with xp._one_blas_thread():  # outputs must not depend on the BLAS thread count
-            _HANDLERS[args.command](args, out_dir, entries)
+            _HANDLERS[args.command](args, out_dir, view)
         return EXIT_OK
     except TuningError as exc:
         code, kind, err = EXIT_TUNING, "tuning", exc

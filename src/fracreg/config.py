@@ -195,7 +195,7 @@ class ConfigView:
             self._fail(key, "%r must be true or false" % key)
         return val
 
-    def get_int(self, key, default=None, required=False, minimum=None):
+    def get_int(self, key, default=None, required=False, minimum=None, maximum=None):
         val = self.require(key) if required else self.raw(key, default)
         if val is None:
             return None
@@ -203,6 +203,8 @@ class ConfigView:
             self._fail(key, "%r must be an integer" % key)
         if minimum is not None and val < minimum:
             self._fail(key, "%r must be at least %d" % (key, minimum))
+        if maximum is not None and val > maximum:
+            self._fail(key, "%r must be at most %d" % (key, maximum))
         return val
 
     def get_float(self, key, default=None, required=False,

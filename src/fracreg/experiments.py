@@ -301,11 +301,12 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """
     jobs = [(n, rep) for n in config.n_grid for rep in range(config.repetitions)]
     with _one_blas_thread():
-        if threads > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=threads,
+        workers = min(threads, len(jobs))  # a fork pool starts every worker at once
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_pin_one_blas_thread) as pool:
                 outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs]),
-                                         chunksize=max(1, len(jobs) // (4 * threads))))
+                                         chunksize=max(1, len(jobs) // (4 * workers))))
         else:
             outcomes = [_sweep_job(config, n, rep) for n, rep in jobs]
 

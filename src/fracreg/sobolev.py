@@ -15,8 +15,8 @@ extrapolation of the refinement increments.  For members of the space the
 increments decay geometrically and the extrapolated sequence is Cauchy; for
 non-members the increments themselves keep growing, which is the divergence
 signature reported back to the caller.  Only the kernel depends on s: the
-lag sums are computed once per level per function object and shared by
-every s.
+lag sums of every level are computed once per function object and
+refinement, and each s then needs one power array and one reduction.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ _FAMILIES = ("power", "piecewise_constant", "piecewise_polynomial", "bumps")
 
 # Bump profile decay exponent; only the polynomial-decay form is implemented.
 BUMP_DECAY = 4.0
+
+MAX_REFINEMENT = 20  # finest quadrature level; a level-20 call peaks near 210 MB
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class TestFunction:
 
     @functools.cached_property
     def _lag_memo(self) -> dict:
-        """level -> _level_lags result; per object, so equal copies share nothing."""
+        """refinement -> _level_table result; per object, so equal copies share nothing."""
         return {}
 
     def _piece_index(self, arr):
@@ -215,16 +217,25 @@ def _lag_sums(f: np.ndarray) -> np.ndarray:
     return np.maximum(head + tail - 2.0 * ac[k], 0.0)
 
 
-def _level_lags(fn: TestFunction, level: int):
-    """(G at lags >= 2, h) on the 2^level midpoint grid; independent of s."""
+def _level_table(fn: TestFunction, refinement: int):
+    """(k h at the finest lags k = 2..N-1, the terms G[k] h^2 of levels
+    4..refinement at lags >= 2 concatenated, the index of each term's lag
+    into k h, the offset of each level); independent of s."""
     memo = fn._lag_memo
-    if level not in memo:
+    if refinement not in memo:
         a, b = fn.domain
-        N = 1 << level
-        h = (b - a) / N
-        mid = a + (np.arange(N) + 0.5) * h
-        memo[level] = (_lag_sums(np.asarray(fn(mid), dtype=float))[1:], h)
-    return memo[level]
+        terms, lag = [], []
+        for lv in range(4, refinement + 1):
+            N = 1 << lv
+            h = (b - a) / N
+            mid = a + (np.arange(N) + 0.5) * h
+            terms.append(_lag_sums(fn(mid))[1:] * (h * h))
+            # lag k at level lv is the finest lag k 2^(refinement - lv), bit for bit
+            lag.append((np.arange(2, N) << (refinement - lv)) - 2)
+        offsets = np.cumsum([0] + [len(t) for t in terms[:-1]])
+        memo[refinement] = (np.arange(2, N) * h, np.concatenate(terms),
+                            np.concatenate(lag), offsets)
+    return memo[refinement]
 
 
 def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> SeminormResult:
@@ -237,18 +248,12 @@ def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> Semi
     """
     if not 0.0 < s < 1.0:
         raise InvalidInputError("s must lie in (0, 1)")
-    if refinement < 7:
-        raise InvalidInputError("refinement level must be at least 7")
+    if not 7 <= refinement <= MAX_REFINEMENT:
+        raise InvalidInputError("refinement level must lie in [7, %d]" % MAX_REFINEMENT)
     N = 1 << refinement
-    # (k h)^(-1-2s) at the finest lags k = 2..N-1.  Lag k at level lv is the
-    # finest lag k * 2^(refinement - lv), bit for bit, since h only halves.
-    weights = (np.arange(2, N) * _level_lags(fn, refinement)[1]) ** (-1.0 - 2.0 * s)
-    sums = []
-    for lv in range(4, refinement + 1):
-        G, h = _level_lags(fn, lv)
-        step = 1 << (refinement - lv)
-        sums.append(2.0 * float(np.sum(G * weights[2 * step - 2::step] * h * h)))
-    seq = np.array(sums)
+    kh, terms, lag, offsets = _level_table(fn, refinement)
+    weights = kh ** (-1.0 - 2.0 * s)
+    seq = 2.0 * np.add.reduceat(terms * weights[lag], offsets)
     cells = (N - 1) * (N - 2)  # included ordered cell pairs at the finest level
 
     inc = np.diff(seq)

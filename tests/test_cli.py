@@ -292,6 +292,64 @@ level = 11
         assert not (out / "config_echo.txt").exists()
 
 
+    @pytest.mark.parametrize("level", [21, 40])
+    def test_level_above_the_bound(self, tmp_path, level):
+        cfg = write(tmp_path / "sem.txt", "truth = f2\ns = 0.25\nlevel = %d\n" % level)
+        out = tmp_path / "o"
+        assert run_cli("seminorm", "--config", cfg, "--out", str(out)) == 2
+        assert cfgmod.parse_text((out / "error.txt").read_text())["code"].value == 2
+        assert not (out / "config_echo.txt").exists()
+
+
+class TestArguments:
+    SEMINORM = "truth = f2\ns = [0.25, 0.75]\nlevel = 7\n"
+
+    def exit_code(self, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        return exc.value.code
+
+    def test_options_before_or_after_the_command(self, tmp_path):
+        cfg = write(tmp_path / "sem.txt", self.SEMINORM)
+        outputs = []
+        for i, argv in enumerate((
+            ["seminorm", "--config", cfg, "--set", "level = 8"],
+            ["--config", cfg, "--set", "level = 8", "seminorm"],
+            ["--set", "level = 8", "seminorm", "--config", cfg],
+        )):
+            out = tmp_path / str(i)
+            assert run_cli(*argv, "--out", str(out)) == 0
+            outputs.append([(out / name).read_text()
+                            for name in ("config_echo.txt", "seminorm.csv")])
+        assert "level = 8" in outputs[0][0]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_zoo_needs_no_config(self, tmp_path):
+        assert run_cli("zoo", "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "seminorm", "eigen", "gridsearch"])
+    def test_other_commands_need_a_config(self, tmp_path, command):
+        out = tmp_path / "o"
+        assert self.exit_code(command, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_unknown_command(self, tmp_path):
+        cfg = write(tmp_path / "sem.txt", self.SEMINORM)
+        assert self.exit_code("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, tmp_path, threads):
+        cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG)
+        out = tmp_path / "o"
+        assert self.exit_code("sweep", "--config", cfg, "--out", str(out),
+                              "--threads", threads) == 2
+        assert not out.exists()
+
+    def test_help(self, capsys):
+        assert self.exit_code("--help") == 0
+        assert "gridsearch" in capsys.readouterr().out
+
+
 class TestEigenCommand:
     def test_generated_design_lambda1(self, tmp_path):
         cfg = write(tmp_path / "e.txt", """\

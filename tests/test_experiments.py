@@ -124,6 +124,28 @@ class TestRunSweep:
         b = run_sweep(cfg, threads=2)
         assert a == b
 
+    def test_pool_is_sized_by_the_job_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = grid_config(n_grid=(40,), repetitions=2)
+        serial = run_sweep(cfg, threads=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        assert run_sweep(cfg, threads=64) == serial
+        assert sizes == [2]
+
     def test_thread_invariance_at_blas_threaded_sizes(self):
         # dense eigh at n = 500 and the banded factor at n = 600 are large
         # enough for BLAS to thread at the library default

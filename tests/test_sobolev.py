@@ -1,5 +1,7 @@
+import csv
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,10 +148,29 @@ class TestContinuumSeminorm:
             suv = continuum_seminorm(uv, s, refinement=level).refinements[-1]
             assert math.sqrt(suv) <= math.sqrt(su) + math.sqrt(sv) + 1e-10
 
+    def test_refinement_bounds(self):
+        fn = zoo_function("f2")
+        for level in (6, sobolev.MAX_REFINEMENT + 1):
+            with pytest.raises(InvalidInputError):
+                continuum_seminorm(fn, 0.3, level)
+
     def test_cell_count_reported(self):
         res = continuum_seminorm(UNIT_STEP, 0.25, refinement=8)
         n = 1 << 8
         assert res.quadrature_cells == (n - 1) * (n - 2)
+
+
+def test_zoo_matches_the_benchmark_reference():
+    """f1..f4 at the seminorm_zoo workload's s values and level, one object per truth."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "seminorm_zoo.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * 19
+    functions = {name: zoo_function(name) for name in ("f1", "f2", "f3", "f4")}
+    for row in rows:
+        res = continuum_seminorm(functions[row["truth"]], float(row["s"]), 12)
+        assert res.diverged == (row["diverged"] == "true"), row
+        assert res.value == pytest.approx(float(row["value"]), rel=1e-10), row
 
 
 def bits(res):
@@ -210,7 +231,8 @@ class TestLagMemo:
         fn = zoo_function(name)
         for s in (0.15, 0.5, 0.85):
             got = continuum_seminorm(fn, s, 11).refinements
-            assert [r.hex() for r in got] == [direct(fn, s, lv).hex() for lv in range(4, 12)]
+            # one reduction per level sums left to right, np.sum pairwise
+            assert got == pytest.approx([direct(fn, s, lv) for lv in range(4, 12)], rel=1e-13)
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
     def test_coarser_refinement_is_a_prefix(self, name):
