@@ -4,57 +4,40 @@ Builds epsilon-neighborhood graphs over design points, projects responses
 onto the leading eigenvectors of the scaled unnormalized Laplacian, and
 ships a fractional-Sobolev toolkit plus a Monte-Carlo harness to check the
 method's convergence rate and eigenvalue growth empirically.
+
+Submodules and the names below load on first access (PEP 562), so that
+``import fracreg`` costs numpy alone; the graph and spectral modules bring
+in scipy when first used.
 """
 
-from fracreg.errors import (
-    ConfigError,
-    FracregError,
-    InvalidInputError,
-    SolverError,
-    TuningError,
-)
-from fracreg.estimator import (
-    DisconnectedGraphWarning,
-    RegressionFit,
-    TuningRule,
-    bias_variance_decompose,
-    choose_epsilon,
-    choose_K,
-    fit,
-    grid_search,
-)
-from fracreg.experiments import (
-    ExperimentConfig,
-    ExperimentReport,
-    eigenvalue_growth_diagnostic,
-    generate,
-    mean_fit_curve,
-    run_sweep,
-)
-from fracreg.graph import (
-    KernelMoments,
-    KernelSpec,
-    NeighborGraph,
-    SampleSet,
-    build_graph,
-    connectivity_check,
-    kernel_moments,
-)
-from fracreg.sobolev import (
-    SeminormResult,
-    TestFunction,
-    continuum_seminorm,
-    spectral_seminorm,
-    zoo,
-    zoo_function,
-)
-from fracreg.spectral import (
-    EigenSystem,
-    LaplacianOperator,
-    dirichlet_form,
-    eigensolve,
-    fractional_apply,
-    laplacian,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": ("ConfigError", "FracregError", "InvalidInputError", "SolverError",
+               "TuningError"),
+    "estimator": ("DisconnectedGraphWarning", "RegressionFit", "TuningRule",
+                  "bias_variance_decompose", "choose_epsilon", "choose_K", "fit",
+                  "grid_search"),
+    "experiments": ("ExperimentConfig", "ExperimentReport", "eigenvalue_growth_diagnostic",
+                    "generate", "mean_fit_curve", "run_sweep"),
+    "graph": ("KernelMoments", "KernelSpec", "NeighborGraph", "SampleSet", "build_graph",
+              "connectivity_check", "kernel_moments"),
+    "sobolev": ("SeminormResult", "TestFunction", "continuum_seminorm", "spectral_seminorm",
+                "zoo", "zoo_function"),
+    "spectral": ("EigenSystem", "LaplacianOperator", "dirichlet_form", "eigensolve",
+                 "fractional_apply", "laplacian"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("csvout", *_EXPORTS)
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module("fracreg." + _HOME[name]), name)
+    if name in _SUBMODULES:
+        return importlib.import_module("fracreg." + name)
+    raise AttributeError("module 'fracreg' has no attribute %r" % name)

@@ -4,24 +4,26 @@ Commands: fit, sweep, seminorm, eigen, gridsearch, zoo.  Every run reads
 one structured-text config, writes an effective-config echo plus its
 artifacts under the output directory, and returns a family-coded exit
 status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io.
+
+Only the solver commands (fit, sweep, eigen, gridsearch) import the graph,
+spectral and estimator modules, and with them scipy; they do so at call
+time, so importing this module and running seminorm or zoo load numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import os
 import sys
 
 import numpy as np
 
 from fracreg import config as cfg
-from fracreg import experiments as xp
 from fracreg import sobolev
 from fracreg.csvout import write_csv
 from fracreg.errors import ConfigError, InvalidInputError, SolverError, TuningError
-from fracreg.estimator import TuningRule, fit, grid_search
-from fracreg.graph import KernelSpec, SampleSet, build_graph
-from fracreg.spectral import eigensolve, laplacian
 
 OUT_ENV_VAR = "FRACREG_OUT"
 
@@ -30,6 +32,23 @@ EXIT_INPUT = 2
 EXIT_TUNING = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+
+_SOLVER_COMMANDS = ("fit", "sweep", "eigen", "gridsearch")
+
+# Solver-stack names readable as attributes of this module
+# (fracreg.cli.build_graph).  Each access looks the name up in its home
+# module, so importing this one loads none of them.
+_SOLVER_NAMES = {
+    "TuningRule": "estimator", "fit": "estimator", "grid_search": "estimator",
+    "KernelSpec": "graph", "SampleSet": "graph", "build_graph": "graph",
+    "eigensolve": "spectral", "laplacian": "spectral",
+}
+
+
+def __getattr__(name):
+    if name in _SOLVER_NAMES:
+        return getattr(importlib.import_module("fracreg." + _SOLVER_NAMES[name]), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +90,8 @@ def _write_echo(out_dir, echo: dict):
 
 
 def _kernel_from_view(view: cfg.ConfigView):
+    from fracreg.graph import KernelSpec
+
     family = view.get_str("kernel.family", default="truncated_gaussian")
     h = view.get_float("kernel.h", default=0.4, gt=0.0)
     kernel = KernelSpec(family, h)
@@ -79,6 +100,8 @@ def _kernel_from_view(view: cfg.ConfigView):
 
 
 def _tuning_from_view(view: cfg.ConfigView, dim: int):
+    from fracreg.estimator import TuningRule
+
     if not view.has("tuning.s"):
         return None, {}
     s = view.get_unit_open("tuning.s", required=True)
@@ -99,6 +122,8 @@ DEFAULT_EPS_GRID = [0.12, 0.25, 0.5]
 
 
 def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
+    from fracreg.experiments import ExperimentConfig
+
     truth = view.get_str("truth", required=True)
     if single_n:
         n_grid = [view.get_int("n", required=True, minimum=2)]
@@ -119,7 +144,7 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
         k_grid, eps_grid = list(DEFAULT_K_GRID), list(DEFAULT_EPS_GRID)
     theory_s = view.get_unit_open("theory_s") if view.has("theory_s") else None
 
-    config = xp.ExperimentConfig(
+    config = ExperimentConfig(
         truth=truth,
         n_grid=tuple(n_grid),
         repetitions=reps,
@@ -209,13 +234,17 @@ def function_from_view(view: cfg.ConfigView) -> sobolev.TestFunction:
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args, out_dir, view):
+    from fracreg import experiments as xp
+
     config, echo = _experiment_config_from_view(view)
     curve_points = view.get_int("curve.points", minimum=2)
     curve_n = view.get_int("curve.n", minimum=2)
+    if curve_n is not None and curve_points is None:
+        view._fail("curve.n", "'curve.n' is used only together with curve.points")
     if curve_points is not None:
         echo["curve.points"] = curve_points
-        if curve_n is not None:
-            echo["curve.n"] = curve_n
+    if curve_n is not None:
+        echo["curve.n"] = curve_n
     view.reject_unknown()
     _write_echo(out_dir, echo)
 
@@ -238,6 +267,9 @@ def _cmd_sweep(args, out_dir, view):
 
 
 def _cmd_gridsearch(args, out_dir, view):
+    from fracreg.estimator import grid_search
+    from fracreg.experiments import generate
+
     config, echo = _experiment_config_from_view(view, single_n=True)
     if config.k_grid is None:
         raise ConfigError("gridsearch requires grids.k and grids.eps", key="grids.k")
@@ -245,7 +277,7 @@ def _cmd_gridsearch(args, out_dir, view):
     _write_echo(out_dir, echo)
 
     n = config.n_grid[0]
-    samples = xp.generate(config, n, 0)
+    samples = generate(config, n, 0)
     truth_values = config.truth_function()(samples.points[:, 0])
     result = grid_search(samples, list(config.k_grid), list(config.eps_grid),
                          config.kernel, truth_values)
@@ -261,6 +293,9 @@ def _cmd_gridsearch(args, out_dir, view):
 
 
 def _cmd_fit(args, out_dir, view):
+    from fracreg.estimator import fit
+    from fracreg.graph import SampleSet
+
     data_path = view.get_str("data", required=True)
     K = view.get_int("K", required=True, minimum=0)
     epsilon = view.get_float("epsilon", required=True, gt=0.0)
@@ -325,6 +360,10 @@ def _cmd_seminorm(args, out_dir, view):
 
 
 def _cmd_eigen(args, out_dir, view):
+    from fracreg.experiments import draw_design
+    from fracreg.graph import SampleSet, build_graph
+    from fracreg.spectral import eigensolve, laplacian
+
     kernel, kernel_echo = _kernel_from_view(view)
     data_path = view.get_str("data") if view.has("data") else None
     echo = {}
@@ -336,7 +375,7 @@ def _cmd_eigen(args, out_dir, view):
         seed = view.get_int("seed", required=True, minimum=0)
         low = view.get_float("design.low", default=0.0)
         high = view.get_float("design.high", default=5.0)
-        x = xp.draw_design(seed, n, 0, low, high)
+        x = draw_design(seed, n, 0, low, high)
         samples = SampleSet(points=x[:, None])
         echo.update({"n": n, "seed": seed, "design.low": low, "design.high": high})
     dim = samples.dim
@@ -414,7 +453,14 @@ def main(argv=None) -> int:
 
     try:
         view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
-        with xp._one_blas_thread():  # outputs must not depend on the BLAS thread count
+        if args.command in _SOLVER_COMMANDS:
+            # Outputs must not depend on the BLAS thread count.  The import
+            # loads scipy, so the pin sees its OpenBLAS as well as numpy's.
+            from fracreg.experiments import _one_blas_thread
+            pin = _one_blas_thread()
+        else:  # seminorm and zoo call no BLAS routine
+            pin = contextlib.nullcontext()
+        with pin:
             _HANDLERS[args.command](args, out_dir, view)
         return EXIT_OK
     except TuningError as exc:

@@ -298,15 +298,17 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     library default each pool worker would start one BLAS thread per core,
     and on a machine with as many workers as cores those spinning threads
     made a pooled sweep several times slower than the same jobs run serially.
+
+    Jobs are submitted largest n first, one at a time, so the costliest jobs
+    start early and no worker is left holding a batch of them at the end.
     """
-    jobs = [(n, rep) for n in config.n_grid for rep in range(config.repetitions)]
+    jobs = [(n, rep) for n in reversed(config.n_grid) for rep in range(config.repetitions)]
     with _one_blas_thread():
         workers = min(threads, len(jobs))  # a fork pool starts every worker at once
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_pin_one_blas_thread) as pool:
-                outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs]),
-                                         chunksize=max(1, len(jobs) // (4 * workers))))
+                outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs])))
         else:
             outcomes = [_sweep_job(config, n, rep) for n, rep in jobs]
 

@@ -24,11 +24,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from fracreg.errors import InvalidInputError
-from fracreg.spectral import EigenSystem, _clamped
+
+if TYPE_CHECKING:
+    from fracreg.spectral import EigenSystem
 
 _FAMILIES = ("power", "piecewise_constant", "piecewise_polynomial", "bumps")
 
@@ -294,6 +297,8 @@ def spectral_seminorm(eig: EigenSystem, f_values: np.ndarray, s: float) -> float
 
     s = 1 is admitted for the cross-check against the edge-sum Dirichlet form.
     """
+    from fracreg.spectral import _clamped  # here: spectral loads scipy, the quadrature needs none
+
     if not 0.0 < s <= 1.0:
         raise InvalidInputError("s must lie in (0, 1]")
     f_values = np.asarray(f_values, dtype=float)

@@ -126,13 +126,16 @@ def _shift_invert(matrix: sparse.csr_matrix, shift: float,
     pbtrs solve takes O(b n) work, with no permutation per solve.
     """
     n = matrix.shape[0]
-    coo = matrix.tocoo()
-    row, col = position[coo.row], position[coo.col]
+    row = np.repeat(position, np.diff(matrix.indptr))  # RCM indices, intp
+    col = position[matrix.indices]
     upper = row <= col
     row, col = row[upper], col[upper]
     b = int(np.max(col - row, initial=0))
-    band = np.zeros((b + 1, n), order="F")  # LAPACK upper band storage
-    band[b + row - col, col] = coo.data[upper]
+    # LAPACK upper band storage: entry (row, col) sits at [b + row - col, col],
+    # which is row + b (col + 1) in the Fortran-order flat array
+    band = np.zeros((b + 1) * n)
+    band[row + b * (col + 1)] = matrix.data[upper]
+    band = band.reshape((b + 1, n), order="F")
     band[b] -= shift
     pbtrf, pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
     factor, info = pbtrf(band, overwrite_ab=1)

@@ -99,6 +99,18 @@ class TestSweepCommand:
         assert lines[0] == "x,truth,mean_fit"
         assert len(lines) == 9
 
+    def test_curve_n_without_curve_points_is_input_error(self, tmp_path, monkeypatch):
+        def forbidden(config, threads=1):
+            raise AssertionError("sweep run")
+
+        monkeypatch.setattr(experiments, "run_sweep", forbidden)
+        cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG + "curve.n = 80\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", "1") == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert record["code"].value == 2 and "curve.n" in record["message"].value
+        assert not (out / "config_echo.txt").exists()
+
     def test_minimal_config_applies_documented_defaults(self, tmp_path):
         cfg = write(tmp_path / "min.txt", "truth = f2\n")
         out = str(tmp_path / "o")
@@ -419,7 +431,8 @@ class TestBlasThreads:
         ("eigen", "n = 4000\nseed = 1000003\nepsilon = 0.25\nm = 64\n"),  # shift-invert
         ("gridsearch", "truth = f2\nn = 500\nseed = 3\n"
                        "grids.k = [1, 4, 16, 32]\ngrids.eps = [0.12, 0.5]\n"),
-    ], ids=["eigen-dense", "eigen-iterative", "gridsearch"])
+        ("seminorm", "truth = f2\ns = [0.25, 0.45, 0.75]\nlevel = 12\n"),  # no BLAS pin
+    ], ids=["eigen-dense", "eigen-iterative", "gridsearch", "seminorm"])
     def test_outputs_do_not_depend_on_the_blas_environment(self, tmp_path, command, config):
         cfg = write(tmp_path / "c.txt", config)
         outputs = []
@@ -467,8 +480,46 @@ class TestBlasThreads:
                 set_threads(count)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    probe = "import sys, fracreg.cli; print('scipy.integrate' in sys.modules)"
-    done = run_subprocess(["-c", probe], {}, tmp_path)
+    def test_pin_finds_an_openblas_loaded_after_a_light_command(self, tmp_path):
+        # seminorm loads no scipy; the eigen run after it in the same process
+        # must still pin the OpenBLAS that its import brings in
+        sem = write(tmp_path / "sem.txt", "truth = f2\ns = 0.25\nlevel = 8\n")
+        eig = write(tmp_path / "eig.txt", "n = 4000\nseed = 1000003\nepsilon = 0.25\nm = 64\n")
+        probe = ("import sys\nfrom fracreg import cli\n"
+                 "for argv in sys.argv[1:]:\n"
+                 "    assert cli.main(argv.split()) == 0\n")
+        done = run_subprocess(["-c", probe, "seminorm --config %s --out %s" % (sem, tmp_path / "s"),
+                               "eigen --config %s --out %s" % (eig, tmp_path / "after")],
+                              {"OPENBLAS_NUM_THREADS": "2"}, tmp_path)
+        assert done.returncode == 0, done.stderr
+        done = run_subprocess(["-m", "fracreg.cli", "eigen", "--config", eig,
+                               "--out", str(tmp_path / "alone")],
+                              {"OPENBLAS_NUM_THREADS": "1"}, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "after" / "eigen.csv").read_bytes()
+                == (tmp_path / "alone" / "eigen.csv").read_bytes())
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    sem = write(tmp_path / "sem.txt", "truth = f2\ns = [0.25, 0.75]\nlevel = 8\n")
+    probe = """\
+import sys
+
+def scipy_loaded(stage):
+    print(stage, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+import fracreg
+scipy_loaded("package:")
+import fracreg.cli
+scipy_loaded("cli:")
+assert fracreg.cli.main(["seminorm", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert fracreg.cli.main(["zoo", "--out", sys.argv[3]]) == 0
+scipy_loaded("commands:")
+assert callable(fracreg.fit) and fracreg.graph.build_graph is fracreg.cli.build_graph
+"""
+    done = run_subprocess(["-c", probe, sem, str(tmp_path / "s"), str(tmp_path / "z")],
+                          {}, tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    stages = [line for line in done.stdout.splitlines() if line.endswith(": []")]
+    assert stages == ["package: []", "cli: []", "commands: []"], done.stdout
+    assert (tmp_path / "s" / "seminorm.csv").exists() and (tmp_path / "z" / "f2.txt").exists()

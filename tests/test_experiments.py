@@ -125,7 +125,7 @@ class TestRunSweep:
         assert a == b
 
     def test_pool_is_sized_by_the_job_count(self, monkeypatch):
-        sizes = []
+        sizes, chunks, submitted = [], [], []
 
         class SerialPool:
             def __init__(self, max_workers, initializer=None):
@@ -138,13 +138,21 @@ class TestRunSweep:
                 return False
 
             def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+                chunks.append(chunksize)
+                jobs = list(zip(*iterables))
+                submitted.extend((n, rep) for _, n, rep in jobs)
+                return [fn(*job) for job in jobs]
 
         cfg = grid_config(n_grid=(40,), repetitions=2)
         serial = run_sweep(cfg, threads=1)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         assert run_sweep(cfg, threads=64) == serial
         assert sizes == [2]
+        # largest n first, one job per task; the report is sorted regardless
+        cfg = grid_config(n_grid=(40, 50, 60), repetitions=2)
+        assert run_sweep(cfg, threads=2) == run_sweep(cfg, threads=1)
+        assert chunks == [1, 1]
+        assert submitted[2:] == [(60, 0), (60, 1), (50, 0), (50, 1), (40, 0), (40, 1)]
 
     def test_thread_invariance_at_blas_threaded_sizes(self):
         # dense eigh at n = 500 and the banded factor at n = 600 are large
