@@ -69,22 +69,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_entries(args) -> dict:
-    if args.config is None:
-        return {}
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError("cannot read config %s: %s" % (args.config, exc)) from exc
-    entries = cfg.parse_text(text, source=args.config)
+    entries = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise OSError("cannot read config %s: %s" % (args.config, exc)) from exc
+        entries = cfg.parse_text(text, source=args.config)
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append("seed = %d" % args.seed)
     return cfg.apply_overrides(entries, overrides)
 
 
-def _write_echo(out_dir, echo: dict):
-    text = cfg.serialize(echo)  # a value it cannot write fails before the file is opened
+def _write_echo(out_dir, view: cfg.ConfigView):
+    """Reject unread keys, then write every key the command read, in read order."""
+    view.reject_unknown()
+    text = cfg.serialize(view.effective)  # a value it cannot write fails before the file is opened
     with open(os.path.join(out_dir, "config_echo.txt"), "w") as fh:
         fh.write(text)
 
@@ -92,25 +94,19 @@ def _write_echo(out_dir, echo: dict):
 def _kernel_from_view(view: cfg.ConfigView):
     from fracreg.graph import KernelSpec
 
-    family = view.get_str("kernel.family", default="truncated_gaussian")
-    h = view.get_float("kernel.h", default=0.4, gt=0.0)
-    kernel = KernelSpec(family, h)
-    echo = {"kernel.family": family, "kernel.h": h}
-    return kernel, echo
+    return KernelSpec(view.get_str("kernel.family", default="truncated_gaussian"),
+                      view.get_float("kernel.h", default=0.4, gt=0.0))
 
 
 def _tuning_from_view(view: cfg.ConfigView, dim: int):
     from fracreg.estimator import TuningRule
 
     if not view.has("tuning.s"):
-        return None, {}
-    s = view.get_unit_open("tuning.s", required=True)
-    M = view.get_float("tuning.M", required=True, gt=0.0)
-    c0 = view.get_float("tuning.c0", default=1.0, gt=0.0)
-    C0 = view.get_float("tuning.C0", default=1.0, gt=0.0)
-    rule = TuningRule(s=s, M=M, dim=dim, c0=c0, C0=C0)
-    echo = {"tuning.s": s, "tuning.M": M, "tuning.c0": c0, "tuning.C0": C0}
-    return rule, echo
+        return None
+    return TuningRule(s=view.get_unit_open("tuning.s", required=True),
+                      M=view.get_float("tuning.M", required=True, gt=0.0), dim=dim,
+                      c0=view.get_float("tuning.c0", default=1.0, gt=0.0),
+                      C0=view.get_float("tuning.C0", default=1.0, gt=0.0))
 
 
 # Sweep defaults (documented in the README): the standard study is the blocks
@@ -135,52 +131,25 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
     noise_sd = view.get_float("noise_sd", default=1.0, ge=0.0)
     low = view.get_float("design.low", default=0.0)
     high = view.get_float("design.high", default=5.0)
-    dim = view.get_int("design.dim", default=1, minimum=1)
-    kernel, kernel_echo = _kernel_from_view(view)
-    tuning, tuning_echo = _tuning_from_view(view, dim)
-    k_grid = view.get_list("grids.k", kind=int)
-    eps_grid = view.get_list("grids.eps", kind=float)
-    if tuning is None and k_grid is None and eps_grid is None:
-        k_grid, eps_grid = list(DEFAULT_K_GRID), list(DEFAULT_EPS_GRID)
-    theory_s = view.get_unit_open("theory_s") if view.has("theory_s") else None
-
-    config = ExperimentConfig(
+    kernel = _kernel_from_view(view)
+    tuning = _tuning_from_view(view, dim=1)
+    default_grids = tuning is None and not (view.has("grids.k") or view.has("grids.eps"))
+    # keyword arguments are evaluated in the order written, the echo's order
+    return ExperimentConfig(
         truth=truth,
-        n_grid=tuple(n_grid),
+        n_grid=n_grid,
         repetitions=reps,
         seed=seed,
         noise_sd=noise_sd,
         design_low=low,
         design_high=high,
-        dim=dim,
         kernel=kernel,
         tuning=tuning,
-        k_grid=tuple(k_grid) if k_grid is not None else None,
-        eps_grid=tuple(eps_grid) if eps_grid is not None else None,
-        theory_s=theory_s,
+        k_grid=view.get_list("grids.k", default=DEFAULT_K_GRID if default_grids else None,
+                             kind=int),
+        eps_grid=view.get_list("grids.eps", default=DEFAULT_EPS_GRID if default_grids else None),
+        theory_s=view.get_unit_open("theory_s"),
     )
-    echo = {"truth": truth}
-    if single_n:
-        echo["n"] = n_grid[0]
-    else:
-        echo["n_grid"] = list(n_grid)
-        echo["repetitions"] = reps
-    echo.update({
-        "seed": seed, "noise_sd": noise_sd,
-        "design.low": low, "design.high": high, "design.dim": dim,
-    })
-    echo.update(kernel_echo)
-    echo.update(tuning_echo)
-    if k_grid is not None:
-        echo["grids.k"] = list(k_grid)
-    if eps_grid is not None:
-        echo["grids.eps"] = list(eps_grid)
-    if theory_s is not None:
-        echo["theory_s"] = theory_s
-    return config, echo
-
-
-_FUNCTION_LIST_KEYS = ("breakpoints", "values", "centers", "heights", "widths")
 
 
 def function_to_mapping(fn: sobolev.TestFunction) -> dict:
@@ -202,31 +171,40 @@ def function_to_mapping(fn: sobolev.TestFunction) -> dict:
     return out
 
 
+def _domain_from_view(view: cfg.ConfigView, default=None):
+    domain = view.get_list("function.domain", default=default)
+    if domain is not None and len(domain) != 2:
+        view._fail("function.domain", "'function.domain' must be two numbers [low, high]")
+    return domain
+
+
 def function_from_view(view: cfg.ConfigView) -> sobolev.TestFunction:
     family = view.get_str("function.family", required=True)
-    domain = view.get_list("function.domain", kind=float)
     if family == "power":
-        alpha = view.get_unit_open("function.alpha", required=True)
-        return sobolev.power_function(alpha, tuple(domain) if domain else (-1.0, 1.0))
-    if family == "piecewise_constant":
-        bp = view.get_list("function.breakpoints", required=True, kind=float)
-        values = view.get_list("function.values", required=True, kind=float)
-        return sobolev.piecewise_constant(bp, values)
-    if family == "piecewise_polynomial":
-        bp = view.get_list("function.breakpoints", required=True, kind=float)
-        pieces = []
-        i = 0
-        while view.has("function.coeff_%d" % i):
-            pieces.append(view.get_list("function.coeff_%d" % i, kind=float))
-            i += 1
-        return sobolev.piecewise_polynomial(bp, pieces)
+        domain = _domain_from_view(view, default=[-1.0, 1.0])
+        return sobolev.power_function(view.get_unit_open("function.alpha", required=True),
+                                      domain)
     if family == "bumps":
-        centers = view.get_list("function.centers", required=True, kind=float)
-        heights = view.get_list("function.heights", required=True, kind=float)
-        widths = view.get_list("function.widths", required=True, kind=float)
-        return sobolev.bumps(centers, heights, widths,
-                             tuple(domain) if domain else (0.0, 5.0))
-    raise ConfigError("unknown function.family %r" % family, key="function.family")
+        domain = _domain_from_view(view, default=[0.0, 5.0])
+        return sobolev.bumps(view.get_list("function.centers", required=True),
+                             view.get_list("function.heights", required=True),
+                             view.get_list("function.widths", required=True), domain)
+    if family not in ("piecewise_constant", "piecewise_polynomial"):
+        raise ConfigError("unknown function.family %r" % family, key="function.family")
+    domain = _domain_from_view(view)
+    bp = view.get_list("function.breakpoints", required=True)
+    if family == "piecewise_constant":
+        fn = sobolev.piecewise_constant(bp, view.get_list("function.values", required=True))
+    else:
+        pieces = []
+        while view.has("function.coeff_%d" % len(pieces)):
+            pieces.append(view.get_list("function.coeff_%d" % len(pieces)))
+        fn = sobolev.piecewise_polynomial(bp, pieces)
+    # a piecewise domain is the outer breakpoints; a given one must agree
+    if domain is not None and domain != list(fn.domain):
+        view._fail("function.domain", "'function.domain' must be the first and last "
+                   "breakpoint, [%.17g, %.17g]" % fn.domain)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +214,12 @@ def function_from_view(view: cfg.ConfigView) -> sobolev.TestFunction:
 def _cmd_sweep(args, out_dir, view):
     from fracreg import experiments as xp
 
-    config, echo = _experiment_config_from_view(view)
+    config = _experiment_config_from_view(view)
     curve_points = view.get_int("curve.points", minimum=2)
     curve_n = view.get_int("curve.n", minimum=2)
     if curve_n is not None and curve_points is None:
         view._fail("curve.n", "'curve.n' is used only together with curve.points")
-    if curve_points is not None:
-        echo["curve.points"] = curve_points
-    if curve_n is not None:
-        echo["curve.n"] = curve_n
-    view.reject_unknown()
-    _write_echo(out_dir, echo)
+    _write_echo(out_dir, view)
 
     report = xp.run_sweep(config, threads=args.threads)
     report.write_records_csv(os.path.join(out_dir, "records.csv"))
@@ -270,11 +243,10 @@ def _cmd_gridsearch(args, out_dir, view):
     from fracreg.estimator import grid_search
     from fracreg.experiments import generate
 
-    config, echo = _experiment_config_from_view(view, single_n=True)
+    config = _experiment_config_from_view(view, single_n=True)
     if config.k_grid is None:
         raise ConfigError("gridsearch requires grids.k and grids.eps", key="grids.k")
-    view.reject_unknown()
-    _write_echo(out_dir, echo)
+    _write_echo(out_dir, view)
 
     n = config.n_grid[0]
     samples = generate(config, n, 0)
@@ -299,18 +271,10 @@ def _cmd_fit(args, out_dir, view):
     data_path = view.get_str("data", required=True)
     K = view.get_int("K", required=True, minimum=0)
     epsilon = view.get_float("epsilon", required=True, gt=0.0)
-    kernel, kernel_echo = _kernel_from_view(view)
-    meta_s = view.get_unit_open("meta.s") if view.has("meta.s") else None
-    meta_M = view.get_float("meta.M", gt=0.0) if view.has("meta.M") else None
-    view.reject_unknown()
-
-    echo = {"data": data_path, "K": K, "epsilon": epsilon}
-    echo.update(kernel_echo)
-    if meta_s is not None:
-        echo["meta.s"] = meta_s
-    if meta_M is not None:
-        echo["meta.M"] = meta_M
-    _write_echo(out_dir, echo)
+    kernel = _kernel_from_view(view)
+    meta_s = view.get_unit_open("meta.s")
+    meta_M = view.get_float("meta.M", gt=0.0)
+    _write_echo(out_dir, view)
 
     samples = SampleSet.load_csv(data_path)
     if samples.responses is None:
@@ -329,21 +293,16 @@ def _cmd_fit(args, out_dir, view):
 def _cmd_seminorm(args, out_dir, view):
     if view.has("truth"):
         fn = sobolev.zoo_function(view.get_str("truth", required=True))
-        fn_echo = {"truth": view.raw("truth")}
     else:
         fn = function_from_view(view)
-        fn_echo = function_to_mapping(fn)
-    if isinstance(view.require("s"), list):
-        s_values = view.get_list("s", kind=float)
+    if isinstance(view.raw("s"), list):
+        s_values = view.get_list("s")
         if not s_values or not all(0.0 < s < 1.0 for s in s_values):
             view._fail("s", "'s' must be a non-empty list of numbers in (0,1)")
     else:
         s_values = [view.get_unit_open("s", required=True)]
     level = view.get_int("level", default=12, minimum=7, maximum=sobolev.MAX_REFINEMENT)
-    view.reject_unknown()
-
-    _write_echo(out_dir, dict(fn_echo, s=s_values if len(s_values) > 1 else s_values[0],
-                              level=level))
+    _write_echo(out_dir, view)
 
     results = [sobolev.continuum_seminorm(fn, s, refinement=level) for s in s_values]
     n_levels = len(results[0].refinements)
@@ -364,49 +323,33 @@ def _cmd_eigen(args, out_dir, view):
     from fracreg.graph import SampleSet, build_graph
     from fracreg.spectral import eigensolve, laplacian
 
-    kernel, kernel_echo = _kernel_from_view(view)
-    data_path = view.get_str("data") if view.has("data") else None
-    echo = {}
+    # the design comes first in the echo, then kernel, tuning, epsilon and m
+    data_path = view.get_str("data")
     if data_path is not None:
         samples = SampleSet.load_csv(data_path)
-        echo["data"] = data_path
     else:
         n = view.get_int("n", required=True, minimum=2)
         seed = view.get_int("seed", required=True, minimum=0)
         low = view.get_float("design.low", default=0.0)
         high = view.get_float("design.high", default=5.0)
-        x = draw_design(seed, n, 0, low, high)
-        samples = SampleSet(points=x[:, None])
-        echo.update({"n": n, "seed": seed, "design.low": low, "design.high": high})
-    dim = samples.dim
-    tuning, tuning_echo = _tuning_from_view(view, dim)
-    explicit_eps = None
-    if tuning is None:
-        explicit_eps = view.get_float("epsilon", required=True, gt=0.0)
-    m = view.get_int("m", default=min(32, samples.n), minimum=1)
-    view.reject_unknown()
-
-    echo.update(kernel_echo)
-    echo.update(tuning_echo)
-    if explicit_eps is not None:
-        echo["epsilon"] = explicit_eps
-    echo["m"] = m
-    _write_echo(out_dir, echo)
+        samples = SampleSet(points=draw_design(seed, n, 0, low, high)[:, None])
+    kernel = _kernel_from_view(view)
+    tuning = _tuning_from_view(view, samples.dim)
+    epsilon = view.get_float("epsilon", required=True, gt=0.0) if tuning is None else None
+    m = view.get_int("m", default=min(32, samples.n), minimum=1, maximum=samples.n)
+    _write_echo(out_dir, view)
 
     if tuning is not None:
         _, epsilon = tuning.resolve(samples.n)
-    else:
-        epsilon = explicit_eps
-
     graph = build_graph(samples, epsilon, kernel)
-    eig = eigensolve(laplacian(graph, dim), m)
+    eig = eigensolve(laplacian(graph), m)
     eig.save_csv(os.path.join(out_dir, "eigen.csv"))
     print("eigen: n=%d m=%d epsilon=%.6g lambda1=%.3e"
           % (samples.n, m, epsilon, eig.values[0]))
 
 
 def _cmd_zoo(args, out_dir, view):
-    view.reject_unknown()
+    _write_echo(out_dir, view)
     for name, fn in sorted(sobolev.zoo().items()):
         with open(os.path.join(out_dir, "%s.txt" % name), "w") as fh:
             fh.write(cfg.serialize(function_to_mapping(fn)))

@@ -24,11 +24,13 @@ from fracreg.errors import ConfigError
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
+OVERRIDE_SOURCE = "<override>"
+
 
 @dataclass(frozen=True)
 class Entry:
     value: object
-    line: int
+    line: int | None  # None for an override
 
 
 def _parse_scalar(token: str, key: str, line: int):
@@ -138,7 +140,10 @@ def serialize(mapping: dict) -> str:
 
 
 def apply_overrides(entries: dict, overrides) -> dict:
-    """Apply key=value strings (--set) on top of parsed entries."""
+    """Apply key=value strings (--set) on top of parsed entries.
+
+    An overridden entry has no line: its errors cite the override, not the file.
+    """
     out = dict(entries)
     for item in overrides or ():
         if "=" not in item:
@@ -147,56 +152,60 @@ def apply_overrides(entries: dict, overrides) -> dict:
         key = key.strip()
         if not _KEY_RE.match(key):
             raise ConfigError("override has a bad key %r" % key, key=key)
-        parsed = parse_text("%s = %s" % (key, rhs.strip()), source="<override>")
-        out[key] = parsed[key]
+        parsed = parse_text("%s = %s" % (key, rhs.strip()), source=OVERRIDE_SOURCE)
+        out[key] = Entry(value=parsed[key].value, line=None)
     return out
 
 
 class ConfigView:
-    """Typed, validated access to parsed entries; tracks unconsumed keys."""
+    """Typed, validated access to parsed entries.
+
+    effective records the value of each key handed out, in read order:
+    defaults included, absent optional keys left out.  It is the effective
+    config, and a key in entries that it lacks was never read.
+    """
 
     def __init__(self, entries: dict, source: str = "<config>"):
         self.entries = entries
         self.source = source
-        self._used: set[str] = set()
+        self.effective: dict = {}
 
     def _fail(self, key, message):
-        line = self.entries[key].line if key in self.entries else None
-        where = "%s: " % self.source
+        entry = self.entries.get(key)
+        line = entry.line if entry is not None else None
         if line is not None:
-            where = "%s:%d: " % (self.source, line)
-        raise ConfigError(where + message, key=key, line=line)
+            where = "%s:%d" % (self.source, line)
+        else:
+            where = OVERRIDE_SOURCE if entry is not None else self.source
+        raise ConfigError("%s: %s" % (where, message), key=key, line=line)
 
     def has(self, key) -> bool:
         return key in self.entries
 
-    def raw(self, key, default=None):
-        self._used.add(key)
+    def raw(self, key):
+        """The value as given, or None; not a read, so nothing is recorded."""
+        return self.entries[key].value if key in self.entries else None
+
+    def _value(self, key, default, required):
         if key in self.entries:
             return self.entries[key].value
+        if required:
+            raise ConfigError("%s: missing required key %r" % (self.source, key), key=key)
         return default
 
-    def require(self, key):
-        if key not in self.entries:
-            raise ConfigError("%s: missing required key %r" % (self.source, key), key=key)
-        return self.raw(key)
+    def _record(self, key, value):
+        if value is not None:
+            self.effective[key] = value
+        return value
 
     def get_str(self, key, default=None, required=False):
-        val = self.require(key) if required else self.raw(key, default)
-        if val is None:
-            return None
-        if not isinstance(val, str):
+        val = self._value(key, default, required)
+        if val is not None and not isinstance(val, str):
             self._fail(key, "%r must be a string" % key)
-        return val
-
-    def get_bool(self, key, default=False):
-        val = self.raw(key, default)
-        if not isinstance(val, bool):
-            self._fail(key, "%r must be true or false" % key)
-        return val
+        return self._record(key, val)
 
     def get_int(self, key, default=None, required=False, minimum=None, maximum=None):
-        val = self.require(key) if required else self.raw(key, default)
+        val = self._value(key, default, required)
         if val is None:
             return None
         if isinstance(val, bool) or not isinstance(val, int):
@@ -205,11 +214,10 @@ class ConfigView:
             self._fail(key, "%r must be at least %d" % (key, minimum))
         if maximum is not None and val > maximum:
             self._fail(key, "%r must be at most %d" % (key, maximum))
-        return val
+        return self._record(key, val)
 
-    def get_float(self, key, default=None, required=False,
-                  gt=None, ge=None, lt=None, le=None):
-        val = self.require(key) if required else self.raw(key, default)
+    def get_float(self, key, default=None, required=False, gt=None, ge=None):
+        val = self._value(key, default, required)
         if val is None:
             return None
         if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -219,23 +227,19 @@ class ConfigView:
             self._fail(key, "%r must be greater than %s" % (key, gt))
         if ge is not None and not val >= ge:
             self._fail(key, "%r must be at least %s" % (key, ge))
-        if lt is not None and not val < lt:
-            self._fail(key, "%r must be less than %s" % (key, lt))
-        if le is not None and not val <= le:
-            self._fail(key, "%r must be at most %s" % (key, le))
-        return val
+        return self._record(key, val)
 
     def get_unit_open(self, key, default=None, required=False):
         """A float strictly inside (0, 1); the usual smoothness order check."""
-        val = self.require(key) if required else self.raw(key, default)
+        val = self._value(key, default, required)
         if val is None:
             return None
         if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0.0 < float(val) < 1.0:
             self._fail(key, "%r must lie in (0,1)" % key)
-        return float(val)
+        return self._record(key, float(val))
 
     def get_list(self, key, default=None, required=False, kind=float):
-        val = self.require(key) if required else self.raw(key, default)
+        val = self._value(key, default, required)
         if val is None:
             return None
         if not isinstance(val, (list, tuple)):
@@ -245,10 +249,10 @@ class ConfigView:
             if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
                 self._fail(key, "%r must be a list of integers" % key)
             out.append(kind(v))
-        return list(out)
+        return self._record(key, out)
 
     def reject_unknown(self):
-        unknown = [k for k in self.entries if k not in self._used]
+        unknown = [k for k in self.entries if k not in self.effective]
         if unknown:
             first = unknown[0]
             self._fail(first, "unknown key %r" % first)

@@ -139,7 +139,7 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
             DisconnectedGraphWarning,
             stacklevel=2,
         )
-    eig = eigensolve(laplacian(graph, samples.dim), max(K, 1))
+    eig = eigensolve(laplacian(graph), max(K, 1))
     return _regression_fit(eig, samples.responses, K, epsilon, report)
 
 
@@ -213,7 +213,7 @@ def grid_search(
     best = None
     for j, eps in enumerate(eps_grid):
         graph = build_graph(samples, eps, kernel)
-        eig = eigensolve(laplacian(graph, samples.dim), min(mmax, n))
+        eig = eigensolve(laplacian(graph), min(mmax, n))
         fits = np.zeros((eig.m + 1, n))  # row K: the fit on the first K vectors, summed in order
         np.cumsum(eig.coefficients(y)[:, None] * eig.vectors.T, axis=0, out=fits[1:])
         surface[:, j] = np.mean((fits[K_grid] - truth) ** 2, axis=1)

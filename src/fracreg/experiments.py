@@ -70,7 +70,6 @@ class ExperimentConfig:
     noise_sd: float = 1.0
     design_low: float = 0.0
     design_high: float = 5.0
-    dim: int = 1
     kernel: KernelSpec = KernelSpec("truncated_gaussian", 0.4)
     tuning: TuningRule | None = None
     k_grid: tuple | None = None
@@ -91,11 +90,11 @@ class ExperimentConfig:
             raise InvalidInputError("noise_sd must be non-negative")
         if not self.design_low < self.design_high:
             raise InvalidInputError("design interval must be non-empty")
-        if self.dim != 1:
-            raise InvalidInputError("only 1-D designs are supported (the truths are 1-D)")
         if self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
         has_rule = self.tuning is not None
+        if has_rule and self.tuning.dim != 1:
+            raise InvalidInputError("the tuning rule must have dim 1: designs are 1-D")
         has_grids = self.k_grid is not None or self.eps_grid is not None
         if has_rule == has_grids:
             raise InvalidInputError("give either a tuning rule or explicit grids, not both")
@@ -341,7 +340,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         slope, stderr = math.nan, math.nan
 
     s = config.tuning.s if config.tuning is not None else config.theory_s
-    theoretical = -2.0 * s / (2.0 * s + config.dim) if s is not None else math.nan
+    theoretical = -2.0 * s / (2.0 * s + 1) if s is not None else math.nan
 
     return ExperimentReport(
         records=tuple(records),
@@ -394,10 +393,11 @@ def eigenvalue_growth_diagnostic(
         grid = sorted(config.eps_grid)
         eps = grid[len(grid) // 2]
     graph = build_graph(samples, eps, config.kernel)
-    eig = eigensolve(laplacian(graph, config.dim), m)
+    op = laplacian(graph)
+    eig = eigensolve(op, m)
     lam = eig.values
 
-    d = config.dim
+    d = op.dim
     cap = eps ** -2.0
     ks = np.arange(2, m + 1)
     lam_k = lam[1:m]

@@ -35,8 +35,11 @@ class LaplacianOperator:
     """Matrix form of u -> (1/(n eps^(d+2))) sum_j w_ij (u_i - u_j)."""
 
     graph: NeighborGraph
-    dim: int
     matrix: sparse.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.graph.points.shape[1]
 
     @property
     def n(self) -> int:
@@ -54,12 +57,11 @@ class LaplacianOperator:
         return self.matrix.toarray()
 
 
-def laplacian(graph: NeighborGraph, dim: int) -> LaplacianOperator:
-    if dim < 1:
-        raise InvalidInputError("dimension must be at least 1")
-    scale = 1.0 / (graph.n * graph.epsilon ** (dim + 2))
+def laplacian(graph: NeighborGraph) -> LaplacianOperator:
+    """The scaled Laplacian, with d the dimension of the graph's points."""
+    scale = 1.0 / (graph.n * graph.epsilon ** (graph.points.shape[1] + 2))
     mat = (sparse.diags(graph.degree) - graph.weights) * scale
-    return LaplacianOperator(graph=graph, dim=dim, matrix=mat.tocsr())
+    return LaplacianOperator(graph=graph, matrix=mat.tocsr())
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def test_criterion_3_projection_laws():
         worst_pyth = max(worst_pyth, float(pyth))
         refit = fit(SampleSet(samples.points, res.fitted), K, eps, KERNEL)
         worst_idem = max(worst_idem, float(np.max(np.abs(refit.fitted - res.fitted))))
-        eig = eigensolve(laplacian(build_graph(samples, eps, KERNEL), 1), n)
+        eig = eigensolve(laplacian(build_graph(samples, eps, KERNEL)), n)
         coef = eig.coefficients(y)
         fhat = np.zeros(n)
         prev = math.inf
@@ -131,7 +131,7 @@ def test_criterion_4_spectral_oracle_equivalence():
         # spread bandwidths so some graphs come out disconnected
         eps = float(rng.uniform(0.12, 0.5)) if dim == 2 else float(rng.uniform(0.03, 0.2))
         graph = build_graph(SampleSet(pts), eps, KERNEL)
-        op = laplacian(graph, dim)
+        op = laplacian(graph)
         m = min(25, n - 5)
         dense = eigensolve(op, m, method="dense")
         iterative = eigensolve(op, m, method="iterative")
@@ -156,7 +156,7 @@ def test_criterion_5_seminorm_identity_at_one():
         x = np.sort(rng.uniform(0, 5, n))
         eps = float(rng.uniform(0.4, 1.0))
         samples = SampleSet(x[:, None])
-        op = laplacian(build_graph(samples, eps, KERNEL), 1)
+        op = laplacian(build_graph(samples, eps, KERNEL))
         eig = eigensolve(op, n)
         f = np.sin(x) + np.where(x > 2.5, 1.0, 0.0) + 0.3 * rng.standard_normal(n)
         gap = abs(spectral_seminorm(eig, f, 1.0) - dirichlet_form(op, f))

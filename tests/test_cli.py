@@ -183,6 +183,12 @@ tuning.C0 = 0.0001
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out) == 2
 
+    def test_design_dim_is_an_unknown_key(self, tmp_path):
+        cfg = write(tmp_path / "bad.txt", SWEEP_CONFIG + "design.dim = 1\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+        assert "unknown key 'design.dim'" in (out / "error.txt").read_text()
+
     def test_tuning_error_exit_code(self, tmp_path):
         # tuning failures inside a sweep become recorded failures, so drive
         # an empty window through eigen where the error surfaces directly
@@ -313,6 +319,31 @@ level = 11
         assert not (out / "config_echo.txt").exists()
 
 
+    @pytest.mark.parametrize("config", [
+        "function.family = power\nfunction.alpha = 0.5\nfunction.domain = [0, 1, 2]\n",
+        "function.family = bumps\nfunction.centers = [1]\nfunction.heights = [1]\n"
+        "function.widths = [0.2]\nfunction.domain = [0]\n",
+        "function.family = piecewise_constant\nfunction.breakpoints = [0, 1, 2]\n"
+        "function.values = [1, 2]\nfunction.domain = [7, 9]\n",
+    ], ids=["three_numbers", "one_number", "not_the_breakpoints"])
+    def test_bad_domain_names_the_key(self, tmp_path, config):
+        cfg = write(tmp_path / "sem.txt", config + "s = 0.3\nlevel = 7\n")
+        out = tmp_path / "o"
+        assert run_cli("seminorm", "--config", cfg, "--out", str(out)) == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert record["code"].value == 2 and "function.domain" in record["message"].value
+        assert not (out / "config_echo.txt").exists()
+
+    def test_zoo_definitions_are_seminorm_inputs(self, tmp_path):
+        assert run_cli("zoo", "--out", str(tmp_path / "zoo")) == 0
+        for name in sorted(zoo()):
+            cfg = str(tmp_path / "zoo" / ("%s.txt" % name))
+            out = tmp_path / name
+            assert run_cli("seminorm", "--config", cfg, "--set", "s = 0.3",
+                           "--set", "level = 7", "--out", str(out)) == 0
+            assert (out / "seminorm.csv").exists()
+
+
 class TestArguments:
     SEMINORM = "truth = f2\ns = [0.25, 0.75]\nlevel = 7\n"
 
@@ -357,6 +388,21 @@ class TestArguments:
                               "--threads", threads) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [["--set", "bogus=1"], ["--seed", "3"]],
+                             ids=["set", "seed"])
+    def test_overrides_apply_without_a_config(self, tmp_path, override):
+        out = tmp_path / "o"
+        assert run_cli("zoo", "--out", str(out), *override) == 2
+        assert "unknown key" in (out / "error.txt").read_text()
+        assert not (out / "f1.txt").exists()
+
+    def test_error_on_an_override_names_the_override(self, tmp_path, capsys):
+        cfg = write(tmp_path / "sem.txt", "# comment\n" + self.SEMINORM)
+        assert run_cli("seminorm", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--set", "typo=1") == 2
+        message = capsys.readouterr().err
+        assert "<override>: unknown key 'typo'" in message and "sem.txt" not in message
+
     def test_help(self, capsys):
         assert self.exit_code("--help") == 0
         assert "gridsearch" in capsys.readouterr().out
@@ -384,6 +430,15 @@ m = 10
                     "data = %s\nepsilon = 0.5\nm = 4\n" % (tmp_path / "pts.csv"))
         out = str(tmp_path / "o")
         assert run_cli("eigen", "--config", cfg, "--out", out) == 0
+
+
+    def test_m_above_n_fails_before_the_echo(self, tmp_path):
+        cfg = write(tmp_path / "e.txt", "n = 20\nseed = 8\nepsilon = 0.5\nm = 21\n")
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert "'m' must be at most 20" in record["message"].value
+        assert not (out / "config_echo.txt").exists()
 
 
 class TestGridsearchCommand:
@@ -414,6 +469,55 @@ class TestZooCommand:
             view = cfgmod.ConfigView(entries)
             parsed = cli.function_from_view(view)
             assert parsed == fn
+
+
+# One config per command that leans on defaults, so the echo must carry them.
+ECHO_RERUN = {
+    "sweep": SWEEP_CONFIG + "curve.points = 4\n",
+    "gridsearch": "truth = f2\nn = 60\ngrids.k = [1, 4, 16]\ngrids.eps = [0.5, 1.0]\n",
+    "fit": "data = {data}\nK = 3\nepsilon = 0.8\nmeta.s = 0.45\n",
+    "eigen": "n = 50\nseed = 1\ntuning.s = 0.45\ntuning.M = 1.0\ntuning.C0 = 5.0\n",
+    "seminorm": "function.family = bumps\nfunction.centers = [1, 2]\n"
+                "function.heights = [1, -1]\nfunction.widths = [0.2, 0.3]\ns = [0.3, 0.6]\n",
+    "zoo": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_RERUN))
+def test_rerun_from_the_echo_is_byte_identical(tmp_path, command):
+    x = np.linspace(0.1, 4.9, 40)
+    SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
+    argv = [command, "--threads", "1"]
+    if ECHO_RERUN[command] is not None:
+        text = ECHO_RERUN[command].format(data=tmp_path / "data.csv")
+        argv += ["--config", write(tmp_path / "in.txt", text)]
+    first, second = tmp_path / "o1", tmp_path / "o2"
+    assert run_cli(*argv, "--out", str(first)) == 0
+    assert run_cli(command, "--threads", "2", "--config", str(first / "config_echo.txt"),
+                   "--out", str(second)) == 0
+    names = sorted(os.listdir(first))
+    assert "config_echo.txt" in names and sorted(os.listdir(second)) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_config_blocks_are_read_by_sweep(tmp_path):
+    text = open(README).read()
+    blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
+    assert len(blocks) == 2
+    without_grids = "".join(line + "\n" for line in blocks[0].splitlines()
+                    if not line.startswith("grids."))
+    for i, config in enumerate([blocks[0], without_grids + blocks[1]]):
+        out = tmp_path / str(i)
+        assert run_cli("sweep", "--config", write(tmp_path / ("%d.txt" % i), config),
+                       "--out", str(out), "--threads", "1",
+                       "--set", "n_grid = [40, 60]", "--set", "repetitions = 1") == 0
+        documented = cfgmod.parse_text(config)
+        echoed = cfgmod.parse_text((out / "config_echo.txt").read_text())
+        assert set(documented) <= set(echoed)
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(fracreg.__file__))

@@ -79,3 +79,17 @@ def test_sample_csv_round_trip(tmp_path_factory, n, dim, with_responses, data):
         assert np.array_equal(back.responses, responses)
     else:
         assert back.responses is None
+
+
+def test_view_records_what_it_hands_out_in_read_order():
+    view = cfgmod.ConfigView(cfgmod.parse_text("b = 2\na = [1, 2]\n"))
+    assert view.get_list("a", kind=int) == [1, 2]
+    assert view.get_float("missing") is None
+    assert view.get_str("c", default="x") == "x"
+    with pytest.raises(cfgmod.ConfigError, match="<config>:1: unknown key 'b'"):
+        view.reject_unknown()
+    assert view.get_float("b", ge=0.0) == 2.0
+    view.reject_unknown()
+    assert view.effective == {"a": [1, 2], "c": "x", "b": 2.0}
+    assert cfgmod.serialize(view.effective) == "a = [1, 2]\nc = x\nb = 2\n"
+

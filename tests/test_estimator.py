@@ -208,7 +208,7 @@ class TestFit:
     def test_monotone_residual_in_K(self):
         s = uniform_instance(5, n=50)
         graph = build_graph(s, 0.9, KERNEL)
-        eig = eigensolve(laplacian(graph, 1), s.n)
+        eig = eigensolve(laplacian(graph), s.n)
         coef = eig.coefficients(s.responses)
         prev = math.inf
         fhat = np.zeros(s.n)
@@ -258,7 +258,7 @@ class TestGridSearch:
         K_grid, eps_grid = [7, 0, 3, 12, 1], [0.3, 0.6]
         res = grid_search(s, K_grid, eps_grid, KERNEL, truth)
         for j, eps in enumerate(eps_grid):
-            eig = eigensolve(laplacian(build_graph(s, eps, KERNEL), 1), 12)
+            eig = eigensolve(laplacian(build_graph(s, eps, KERNEL)), 12)
             coef = eig.coefficients(s.responses)
             for i, K in enumerate(K_grid):
                 fitted = np.zeros(s.n)
@@ -329,7 +329,7 @@ class TestBiasVariance:
     def test_second_eigenvector_truth(self):
         s = uniform_instance(14, n=30)
         graph = build_graph(s, 0.9, KERNEL)
-        eig = eigensolve(laplacian(graph, 1), 2)
+        eig = eigensolve(laplacian(graph), 2)
         v2 = eig.vectors[:, 1]
         res = fit(SampleSet(s.points, v2), 1, 0.9, KERNEL)
         bv = bias_variance_decompose(res, v2)

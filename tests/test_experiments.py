@@ -53,8 +53,10 @@ class TestConfigValidation:
             grid_config(truth="f7")
 
     def test_only_one_dimensional_designs(self):
-        with pytest.raises(InvalidInputError):
-            grid_config(dim=2)
+        # the designs are 1-D, so a rule tuned for d = 2 would mis-size K and eps
+        grid_config(k_grid=None, eps_grid=None, tuning=TuningRule(s=0.5, M=1.0, dim=1))
+        with pytest.raises(InvalidInputError, match="dim 1"):
+            grid_config(k_grid=None, eps_grid=None, tuning=TuningRule(s=0.5, M=1.0, dim=2))
 
     def test_design_outside_truth_domain_rejected(self):
         # f1 lives on (-1, 1); the default design [0, 5] would fail every job

@@ -258,7 +258,7 @@ class TestSpectralSeminorm:
         x = np.sort(rng.uniform(0, 5, n))
         s = SampleSet(x[:, None])
         graph = build_graph(s, eps, KernelSpec.truncated_gaussian())
-        op = laplacian(graph, 1)
+        op = laplacian(graph)
         return op, eigensolve(op, n)
 
     def test_constant_zero(self):

@@ -20,14 +20,14 @@ def path3_operator():
     # three collinear points, consecutive gaps below eps, ends beyond
     s = SampleSet(np.array([[0.0], [0.9], [1.8]]))
     g = build_graph(s, 1.0, KernelSpec.indicator())
-    return laplacian(g, 1)
+    return laplacian(g)
 
 
 def random_geometric_operator(seed, n=80, dim=2, eps=0.35):
     rng = np.random.default_rng(seed)
     s = SampleSet(rng.uniform(0, 1, (n, dim)))
     g = build_graph(s, eps, KernelSpec.truncated_gaussian())
-    return laplacian(g, dim)
+    return laplacian(g)
 
 
 def twelve_clusters(perm=None):
@@ -36,7 +36,7 @@ def twelve_clusters(perm=None):
     x = (np.arange(12)[:, None] + rng.uniform(0, 0.3, (12, 10))).ravel()
     if perm is not None:
         x = x[perm]
-    return laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()), 1)
+    return laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()))
 
 
 def eigen_clusters(values, gap=1e-8):
@@ -73,7 +73,7 @@ class TestLaplacian:
         for eps in (0.7, 1.0, 1.3):
             s = SampleSet(np.array([[0.0], [0.5]]))
             g = build_graph(s, eps, KernelSpec.triangular())
-            op = laplacian(g, 1)
+            op = laplacian(g)
             w = g.weights[0, 1]
             u = np.array([0.0, 1.0])
             expect = w / (4.0 * eps ** 3)
@@ -120,7 +120,7 @@ class TestEigensolve:
     def test_iterative_matches_dense_oracle_at_sweep_size(self, eps):
         # above DENSE_LIMIT, where the sweep takes the banded shift-invert path
         x = np.random.default_rng(15).uniform(0.0, 5.0, 1000)
-        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec.truncated_gaussian()), 1)
+        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec.truncated_gaussian()))
         dense = eigensolve(op, 64, method="dense")
         iterative = eigensolve(op, 64)
         assert np.max(np.abs(dense.values - iterative.values)) < 1e-8
@@ -143,7 +143,7 @@ class TestEigensolve:
     def test_indefinite_shifted_operator_is_a_solver_error(self):
         # the negated Laplacian makes the shift positive and A - shift I negative definite
         op = random_geometric_operator(17, n=600, eps=0.15)
-        negated = LaplacianOperator(graph=op.graph, dim=op.dim, matrix=-op.matrix)
+        negated = LaplacianOperator(graph=op.graph, matrix=-op.matrix)
         with pytest.raises(SolverError, match="not positive definite"):
             eigensolve(negated, 8, method="iterative")
 
@@ -232,7 +232,7 @@ class TestEigensolve:
         pts = np.vstack([c, b, a])
         for perm in (np.arange(24), np.random.default_rng(5).permutation(24)):
             g = build_graph(SampleSet(pts[perm]), 1.0, KernelSpec.indicator())
-            v = eigensolve(laplacian(g, 2), 3, "dense").vectors
+            v = eigensolve(laplacian(g), 3, "dense").vectors
             which = np.repeat([2, 1, 0], 8)[perm]  # c, b, a -> order a, b, c
             assert np.all(v[which == 0, 1] > 0) and np.all(v[which != 0, 1] < 0)
             assert np.all(np.abs(v[which == 0, 2]) < 1e-12) and np.all(v[which == 1, 2] > 0)
@@ -278,7 +278,7 @@ class TestContinuumLimit:
     def test_low_spectrum_matches_continuum_neumann_eigenvalues(self, n, eps, seed):
         kernel = KernelSpec.truncated_gaussian(0.4)
         x = np.random.default_rng(seed).uniform(0.0, 5.0, n)
-        eig = eigensolve(laplacian(build_graph(SampleSet(x[:, None]), eps, kernel), 1), 12)
+        eig = eigensolve(laplacian(build_graph(SampleSet(x[:, None]), eps, kernel)), 12)
         k = np.arange(1, 12)
         predicted = kernel_moments(kernel, 1).sigma1 * 0.2 / 2.0 * (np.pi * k / 5.0) ** 2
         ratio = eig.values[1:] / predicted
