@@ -21,7 +21,7 @@ _EXPORTS = {
                   "bias_variance_decompose", "choose_epsilon", "choose_K", "fit",
                   "grid_search"),
     "experiments": ("ExperimentConfig", "ExperimentReport", "eigenvalue_growth_diagnostic",
-                    "generate", "mean_fit_curve", "run_sweep"),
+                    "generate", "run_sweep"),
     "graph": ("KernelMoments", "KernelSpec", "NeighborGraph", "SampleSet", "build_graph",
               "connectivity_check", "kernel_moments"),
     "sobolev": ("SeminormResult", "TestFunction", "continuum_seminorm", "spectral_seminorm",

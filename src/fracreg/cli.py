@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import os
 import sys
@@ -98,13 +99,13 @@ def _kernel_from_view(view: cfg.ConfigView):
                       view.get_float("kernel.h", default=0.4, gt=0.0))
 
 
-def _tuning_from_view(view: cfg.ConfigView, dim: int):
+def _tuning_from_view(view: cfg.ConfigView):
     from fracreg.estimator import TuningRule
 
     if not view.has("tuning.s"):
         return None
     return TuningRule(s=view.get_unit_open("tuning.s", required=True),
-                      M=view.get_float("tuning.M", required=True, gt=0.0), dim=dim,
+                      M=view.get_float("tuning.M", required=True, gt=0.0), dim=1,
                       c0=view.get_float("tuning.c0", default=1.0, gt=0.0),
                       C0=view.get_float("tuning.C0", default=1.0, gt=0.0))
 
@@ -132,7 +133,7 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
     low = view.get_float("design.low", default=0.0)
     high = view.get_float("design.high", default=5.0)
     kernel = _kernel_from_view(view)
-    tuning = _tuning_from_view(view, dim=1)
+    tuning = _tuning_from_view(view)
     default_grids = tuning is None and not (view.has("grids.k") or view.has("grids.eps"))
     # keyword arguments are evaluated in the order written, the echo's order
     return ExperimentConfig(
@@ -217,11 +218,15 @@ def _cmd_sweep(args, out_dir, view):
     config = _experiment_config_from_view(view)
     curve_points = view.get_int("curve.points", minimum=2)
     curve_n = view.get_int("curve.n", minimum=2)
-    if curve_n is not None and curve_points is None:
-        view._fail("curve.n", "'curve.n' is used only together with curve.points")
+    if curve_n is not None and (curve_points is None or curve_n not in config.n_grid):
+        view._fail("curve.n", "'curve.n' must be one of n_grid %s and is used only "
+                   "together with curve.points" % list(config.n_grid))
     _write_echo(out_dir, view)
 
-    report = xp.run_sweep(config, threads=args.threads)
+    curve = None if curve_points is None else (
+        curve_n or max(config.n_grid),
+        np.linspace(config.design_low, config.design_high, curve_points + 2)[1:-1])
+    report = xp.run_sweep(config, threads=args.threads, curve=curve)
     report.write_records_csv(os.path.join(out_dir, "records.csv"))
     report.write_summary_csv(os.path.join(out_dir, "summary.csv"))
     if report.failures:
@@ -229,11 +234,8 @@ def _cmd_sweep(args, out_dir, view):
     if not report.records:
         raise SolverError("sweep produced no records: all %d repetitions failed (first: %s)"
                           % (len(report.failures), report.failures[0].message))
-    if curve_points is not None:
-        n = curve_n if curve_n is not None else max(config.n_grid)
-        grid = np.linspace(config.design_low, config.design_high, curve_points + 2)[1:-1]
-        curve = xp.mean_fit_curve(config, n, grid)
-        curve.write_csv(os.path.join(out_dir, "curve.csv"))
+    if report.curve is not None:
+        report.curve.write_csv(os.path.join(out_dir, "curve.csv"))
     print("sweep: %d records, %d failures, slope %.6g (theory %.6g)"
           % (len(report.records), len(report.failures),
              report.fitted_slope, report.theoretical_slope))
@@ -325,22 +327,24 @@ def _cmd_eigen(args, out_dir, view):
 
     # the design comes first in the echo, then kernel, tuning, epsilon and m
     data_path = view.get_str("data")
-    if data_path is not None:
-        samples = SampleSet.load_csv(data_path)
-    else:
+    if data_path is None:
         n = view.get_int("n", required=True, minimum=2)
         seed = view.get_int("seed", required=True, minimum=0)
         low = view.get_float("design.low", default=0.0)
         high = view.get_float("design.high", default=5.0)
-        samples = SampleSet(points=draw_design(seed, n, 0, low, high)[:, None])
     kernel = _kernel_from_view(view)
-    tuning = _tuning_from_view(view, samples.dim)
+    tuning = _tuning_from_view(view)
     epsilon = view.get_float("epsilon", required=True, gt=0.0) if tuning is None else None
+    view.get_int("m", minimum=1)  # its default and bound wait for the design's n
+    view.reject_unknown()  # before a data file is opened
+    samples = (SampleSet.load_csv(data_path) if data_path is not None
+               else SampleSet(points=draw_design(seed, n, 0, low, high)[:, None]))
     m = view.get_int("m", default=min(32, samples.n), minimum=1, maximum=samples.n)
     _write_echo(out_dir, view)
 
     if tuning is not None:
-        _, epsilon = tuning.resolve(samples.n)
+        # the rule is read for 1-D designs; a data file may have more dimensions
+        _, epsilon = dataclasses.replace(tuning, dim=samples.dim).resolve(samples.n)
     graph = build_graph(samples, epsilon, kernel)
     eig = eigensolve(laplacian(graph), m)
     eig.save_csv(os.path.join(out_dir, "eigen.csv"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -158,6 +159,33 @@ class SweepFailure:
 
 
 @dataclass(frozen=True)
+class CurveResult:
+    """Repetition-averaged fit bucketed onto an evaluation grid.
+
+    Each design point goes to its nearest grid point.  The truth is bucketed
+    like the fit, so with noiseless data and a full-rank fit the two columns
+    agree exactly.  Buckets with no design point in any repetition are NaN,
+    never interpolated.
+    """
+
+    grid: tuple
+    mean_truth: tuple
+    mean_fit: tuple
+    counts: tuple
+
+    def write_csv(self, path):
+        write_csv(path, ["x", "truth", "mean_fit"],
+                  zip(self.grid, self.mean_truth, self.mean_fit), "ggg")
+
+
+def _nearest(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the grid point nearest each x; a tie goes to the left one."""
+    idx = np.clip(np.searchsorted(grid, x), 0, grid.size - 1)
+    left = np.clip(idx - 1, 0, grid.size - 1)
+    return np.where(np.abs(x - grid[left]) <= np.abs(grid[idx] - x), left, idx)
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     """Per-repetition records plus the fitted log-log rate."""
 
@@ -170,6 +198,7 @@ class ExperimentReport:
     fitted_slope: float
     slope_stderr: float
     theoretical_slope: float
+    curve: CurveResult | None = None
 
     def write_records_csv(self, path):
         write_csv(path, ["n", "rep", "K", "epsilon", "mse"],
@@ -198,31 +227,28 @@ def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.nda
             warnings.simplefilter("ignore", DisconnectedGraphWarning)
             res = fit(samples, K, eps, config.kernel)
     else:
-        res = grid_search(
-            samples,
-            [k for k in config.k_grid if k <= n],
-            config.eps_grid,
-            config.kernel,
-            truth_values,
-        ).best_fit
-    mse = float(np.mean((res.fitted - truth_values) ** 2))
-    return res, mse
+        res = grid_search(samples, [k for k in config.k_grid if k <= n], config.eps_grid,
+                          config.kernel, truth_values).best_fit
+    return res, float(np.mean((res.fitted - truth_values) ** 2))
 
 
-def _sweep_job(config: ExperimentConfig, n: int, rep: int):
+def _sweep_job(config: ExperimentConfig, n: int, rep: int, keep_fit: bool = False):
+    """One (n, rep) cell: (SweepRecord or SweepFailure, curve points), where with
+    keep_fit the curve points are the design, truth and fitted values of the
+    stream that succeeded, first or retry; without it, and on failure, None."""
     f = config.truth_function()
-    for attempt, rep_index in enumerate((rep, rep + _RETRY_OFFSET)):
+    for rep_index in (rep, rep + _RETRY_OFFSET):  # one redraw, then record the failure
         try:
             samples = generate(config, n, rep_index)
             truth_values = f(samples.points[:, 0])
             res, mse = _fit_once(config, samples, truth_values)
-            return SweepRecord(
-                n=n, rep=rep, K=res.K, epsilon=res.epsilon, mse=mse, connected=res.connected
-            )
-        except _RETRYABLE as exc:  # one redraw, then record the failure
-            if attempt == 1:
-                return SweepFailure(n=n, rep=rep, message="%s: %s" % (type(exc).__name__, exc))
-    raise AssertionError("unreachable")
+        except _RETRYABLE as exc:
+            error = exc
+            continue
+        record = SweepRecord(n=n, rep=rep, K=res.K, epsilon=res.epsilon, mse=mse,
+                             connected=res.connected)
+        return record, (samples.points[:, 0], truth_values, res.fitted) if keep_fit else None
+    return SweepFailure(n=n, rep=rep, message="%s: %s" % (type(error).__name__, error)), None
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
@@ -286,11 +312,16 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_sweep(config: ExperimentConfig, threads: int = 1,
+              curve: tuple | None = None) -> ExperimentReport:
     """Generate, tune, fit, and record over every (n, repetition) cell.
 
     Failures are recorded and excluded from aggregation.  The report is a
     deterministic function of the config, independent of thread count.
+
+    curve = (n, grid), n one of n_grid, averages the sweep's own fits at n onto
+    the grid (report.curve): retry streams included, and a repetition that
+    failed on both streams left out.
 
     Every job runs with one OpenBLAS thread, in the pool and serially alike,
     so the records do not depend on the BLAS thread count either.  At the
@@ -301,22 +332,34 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     Jobs are submitted largest n first, one at a time, so the costliest jobs
     start early and no worker is left holding a batch of them at the end.
     """
-    jobs = [(n, rep) for n in reversed(config.n_grid) for rep in range(config.repetitions)]
-    with _one_blas_thread():
+    curve_n = None
+    if curve is not None:
+        curve_n, grid = curve[0], np.asarray(sorted(float(g) for g in curve[1]))
+        if curve_n not in config.n_grid or grid.size < 1:
+            raise InvalidInputError("a curve needs an n of n_grid and a non-empty grid")
+        sums = np.zeros((3, grid.size))  # fitted values, truth, design points
+    jobs = [(config, n, rep, n == curve_n)
+            for n in reversed(config.n_grid) for rep in range(config.repetitions)]
+    outcomes = []
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
         workers = min(threads, len(jobs))  # a fork pool starts every worker at once
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_pin_one_blas_thread) as pool:
-                outcomes = list(pool.map(_sweep_job, *zip(*[(config, n, r) for n, r in jobs])))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_pin_one_blas_thread))
+            results = pool.map(_sweep_job, *zip(*jobs))
         else:
-            outcomes = [_sweep_job(config, n, rep) for n, rep in jobs]
+            results = itertools.starmap(_sweep_job, jobs)
+        for outcome, points in results:  # in job order: the curve sums add up by rep
+            outcomes.append(outcome)
+            if points is not None:
+                x, truth_values, fitted = points
+                bucket = _nearest(grid, x)
+                for row, values in zip(sums, (fitted, truth_values, 1)):
+                    np.add.at(row, bucket, values)
 
-    records = sorted(
-        (o for o in outcomes if isinstance(o, SweepRecord)), key=lambda r: (r.n, r.rep)
-    )
-    failures = sorted(
-        (o for o in outcomes if isinstance(o, SweepFailure)), key=lambda f: (f.n, f.rep)
-    )
+    outcomes.sort(key=lambda o: (o.n, o.rep))
+    records = [o for o in outcomes if isinstance(o, SweepRecord)]
+    failures = [o for o in outcomes if isinstance(o, SweepFailure)]
 
     n_values, means, disc = [], [], []
     for n in config.n_grid:
@@ -331,13 +374,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     if n_values and n_values[0] == config.n_grid[0] and disc[0] > _DISCONNECT_EXCLUSION:
         excluded.append(n_values[0])
     keep = [i for i, n in enumerate(n_values) if n not in excluded and means[i] > 0.0]
-    if len(keep) >= 2:
-        slope, stderr = _ols_slope(
-            np.log(np.asarray([n_values[i] for i in keep], dtype=float)),
-            np.log(np.asarray([means[i] for i in keep])),
-        )
-    else:
-        slope, stderr = math.nan, math.nan
+    slope, stderr = _ols_slope(np.log(np.asarray([n_values[i] for i in keep], dtype=float)),
+                               np.log(np.asarray([means[i] for i in keep], dtype=float)))
 
     s = config.tuning.s if config.tuning is not None else config.theory_s
     theoretical = -2.0 * s / (2.0 * s + 1) if s is not None else math.nan
@@ -352,7 +390,16 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         fitted_slope=slope,
         slope_stderr=stderr,
         theoretical_slope=theoretical,
+        curve=None if curve is None else _curve_result(grid, sums),
     )
+
+
+def _curve_result(grid: np.ndarray, sums: np.ndarray) -> CurveResult:
+    counts = sums[2]
+    with np.errstate(invalid="ignore"):
+        mean_fit, mean_truth = np.where(counts > 0, sums[:2] / np.maximum(counts, 1), math.nan)
+    return CurveResult(grid=tuple(grid), mean_truth=tuple(mean_truth),
+                       mean_fit=tuple(mean_fit), counts=tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -421,58 +468,4 @@ def eigenvalue_growth_diagnostic(
         insufficient_range=False,
         eigenvalues=tuple(lam),
         epsilon=eps,
-    )
-
-
-@dataclass(frozen=True)
-class CurveResult:
-    """Repetition-averaged fit bucketed onto an evaluation grid.
-
-    Buckets with no design point in any repetition are NaN, never interpolated.
-    """
-
-    grid: tuple
-    mean_truth: tuple
-    mean_fit: tuple
-    counts: tuple
-
-    def write_csv(self, path):
-        write_csv(path, ["x", "truth", "mean_fit"],
-                  zip(self.grid, self.mean_truth, self.mean_fit), "ggg")
-
-
-def mean_fit_curve(config: ExperimentConfig, n: int, grid) -> CurveResult:
-    """Average fitted values over repetitions, bucketed by nearest grid point.
-
-    The truth column is bucketed identically, so with noiseless data and a
-    full-rank fit the two columns agree exactly.
-    """
-    grid = np.asarray(sorted(float(g) for g in grid))
-    if grid.size < 1:
-        raise InvalidInputError("evaluation grid must be non-empty")
-    f = config.truth_function()
-    sum_fit = np.zeros(grid.size)
-    sum_truth = np.zeros(grid.size)
-    counts = np.zeros(grid.size, dtype=int)
-    for rep in range(config.repetitions):
-        samples = generate(config, n, rep)
-        x = samples.points[:, 0]
-        truth_values = f(x)
-        res, _ = _fit_once(config, samples, truth_values)
-        # nearest grid point per design point
-        idx = np.clip(np.searchsorted(grid, x), 0, grid.size - 1)
-        left = np.clip(idx - 1, 0, grid.size - 1)
-        nearer_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
-        bucket = np.where(nearer_left, left, idx)
-        np.add.at(sum_fit, bucket, res.fitted)
-        np.add.at(sum_truth, bucket, truth_values)
-        np.add.at(counts, bucket, 1)
-    with np.errstate(invalid="ignore"):
-        mean_fit = np.where(counts > 0, sum_fit / np.maximum(counts, 1), math.nan)
-        mean_truth = np.where(counts > 0, sum_truth / np.maximum(counts, 1), math.nan)
-    return CurveResult(
-        grid=tuple(grid),
-        mean_truth=tuple(mean_truth),
-        mean_fit=tuple(mean_fit),
-        counts=tuple(int(c) for c in counts),
     )

@@ -111,6 +111,18 @@ class TestSweepCommand:
         assert record["code"].value == 2 and "curve.n" in record["message"].value
         assert not (out / "config_echo.txt").exists()
 
+    def test_curve_n_outside_n_grid_is_input_error(self, tmp_path, monkeypatch):
+        def forbidden(config, threads=1, curve=None):
+            raise AssertionError("sweep run")
+
+        monkeypatch.setattr(experiments, "run_sweep", forbidden)
+        cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG + "curve.points = 8\ncurve.n = 50\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", "1") == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert record["code"].value == 2 and "curve.n" in record["message"].value
+        assert sorted(os.listdir(out)) == ["error.txt"]
+
     def test_minimal_config_applies_documented_defaults(self, tmp_path):
         cfg = write(tmp_path / "min.txt", "truth = f2\n")
         out = str(tmp_path / "o")
@@ -432,6 +444,23 @@ m = 10
         assert run_cli("eigen", "--config", cfg, "--out", out) == 0
 
 
+    def test_unknown_key_fails_before_the_data_file_is_read(self, tmp_path):
+        cfg = write(tmp_path / "e.txt", "data = %s\nepsilon = 0.5\nbogus = 1\n"
+                    % (tmp_path / "missing.csv"))
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2
+        assert "bogus" in cfgmod.parse_text((out / "error.txt").read_text())["message"].value
+
+    def test_m_above_the_data_files_n_fails_before_the_echo(self, tmp_path):
+        SampleSet(np.linspace(0, 2, 10)[:, None]).save_csv(tmp_path / "pts.csv")
+        cfg = write(tmp_path / "e.txt", "data = %s\nepsilon = 0.5\nm = 11\n"
+                    % (tmp_path / "pts.csv"))
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert "'m' must be at most 10" in record["message"].value
+        assert not (out / "config_echo.txt").exists()
+
     def test_m_above_n_fails_before_the_echo(self, tmp_path):
         cfg = write(tmp_path / "e.txt", "n = 20\nseed = 8\nepsilon = 0.5\nm = 21\n")
         out = tmp_path / "o"
@@ -531,7 +560,7 @@ def run_subprocess(args, env_extra, cwd):
 
 class TestBlasThreads:
     @pytest.mark.parametrize("command, config", [
-        ("eigen", "n = 400\nseed = 1\nepsilon = 0.3\nm = 64\n"),  # dense eigh
+        ("eigen", "n = 400\nseed = 1\nepsilon = 0.3\nm = 64\n"),  # dense eigh, n = DENSE_LIMIT
         ("eigen", "n = 4000\nseed = 1000003\nepsilon = 0.25\nm = 64\n"),  # shift-invert
         ("gridsearch", "truth = f2\nn = 500\nseed = 3\n"
                        "grids.k = [1, 4, 16, 32]\ngrids.eps = [0.12, 0.5]\n"),

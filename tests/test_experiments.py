@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracreg import estimator, experiments
+from fracreg import cli, estimator, experiments
 from fracreg.errors import InvalidInputError, SolverError
 from fracreg.estimator import TuningRule, fit
 from fracreg.experiments import (
@@ -12,7 +12,6 @@ from fracreg.experiments import (
     _sweep_job,
     eigenvalue_growth_diagnostic,
     generate,
-    mean_fit_curve,
     run_sweep,
 )
 from fracreg.graph import KernelSpec
@@ -142,7 +141,7 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 chunks.append(chunksize)
                 jobs = list(zip(*iterables))
-                submitted.extend((n, rep) for _, n, rep in jobs)
+                submitted.extend((n, rep) for _, n, rep, _ in jobs)
                 return [fn(*job) for job in jobs]
 
         cfg = grid_config(n_grid=(40,), repetitions=2)
@@ -157,9 +156,9 @@ class TestRunSweep:
         assert submitted[2:] == [(60, 0), (60, 1), (50, 0), (50, 1), (40, 0), (40, 1)]
 
     def test_thread_invariance_at_blas_threaded_sizes(self):
-        # dense eigh at n = 500 and the banded factor at n = 600 are large
+        # dense eigh at n = 400 and the banded factor at n = 600 are large
         # enough for BLAS to thread at the library default
-        cfg = grid_config(n_grid=(500, 600), repetitions=1, eps_grid=(0.12, 0.5),
+        cfg = grid_config(n_grid=(400, 600), repetitions=1, eps_grid=(0.12, 0.5),
                           k_grid=(4, 16, 32))
         assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=2)
 
@@ -283,7 +282,8 @@ class TestGridTunedJob:
         for name in calls:
             monkeypatch.setattr(estimator, name, counting(name))
         cfg = grid_config(eps_grid=(0.5, 0.8, 1.0))
-        assert isinstance(_sweep_job(cfg, 60, 0), experiments.SweepRecord)
+        record, points = _sweep_job(cfg, 60, 0)
+        assert isinstance(record, experiments.SweepRecord) and points is None
         assert calls == {"build_graph": 3, "eigensolve": 3}
 
     # dense, then iterative eigensolve
@@ -324,6 +324,78 @@ class TestGrowthDiagnostic:
             eigenvalue_growth_diagnostic(self._config(), 100, 200)
 
 
+def refit_curve(config, n, grid, streams=None):
+    """The curve as a second pass of fits, one per repetition at n, as an oracle.
+
+    streams lists the repetition indices to draw from, in order (default:
+    every repetition's first stream).
+    """
+    grid = np.asarray(sorted(float(g) for g in grid))
+    f = config.truth_function()
+    sum_fit, sum_truth = np.zeros(grid.size), np.zeros(grid.size)
+    counts = np.zeros(grid.size, dtype=int)
+    for rep_index in range(config.repetitions) if streams is None else streams:
+        samples = generate(config, n, rep_index)
+        x = samples.points[:, 0]
+        truth_values = f(x)
+        with experiments._one_blas_thread():
+            res, _ = _fit_once(config, samples, truth_values)
+        idx = np.clip(np.searchsorted(grid, x), 0, grid.size - 1)
+        left = np.clip(idx - 1, 0, grid.size - 1)
+        nearer_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
+        bucket = np.where(nearer_left, left, idx)
+        np.add.at(sum_fit, bucket, res.fitted)
+        np.add.at(sum_truth, bucket, truth_values)
+        np.add.at(counts, bucket, 1)
+    with np.errstate(invalid="ignore"):
+        mean_fit = np.where(counts > 0, sum_fit / np.maximum(counts, 1), math.nan)
+        mean_truth = np.where(counts > 0, sum_truth / np.maximum(counts, 1), math.nan)
+    return experiments.CurveResult(grid=tuple(grid), mean_truth=tuple(mean_truth),
+                                   mean_fit=tuple(mean_fit),
+                                   counts=tuple(int(c) for c in counts))
+
+
+def fail_on_streams(monkeypatch, *streams):
+    """Make the sweep's fits raise a SolverError on the given (n, rep_index) streams.
+
+    Returns the list of streams the sweep draws.  refit_curve calls the real
+    generate and _fit_once, imported above.
+    """
+    drawn = []
+    real_generate, real_fit_once = experiments.generate, experiments._fit_once
+
+    def recording_generate(config, n, rep_index):
+        drawn.append((n, rep_index))
+        return real_generate(config, n, rep_index)
+
+    def failing(config, samples, truth_values):
+        if drawn[-1] in streams:
+            raise SolverError("no convergence", worst_residual=1.0)
+        return real_fit_once(config, samples, truth_values)
+
+    monkeypatch.setattr(experiments, "generate", recording_generate)
+    monkeypatch.setattr(experiments, "_fit_once", failing)
+    return drawn
+
+
+def write_config(tmp_path, extra):
+    """grid_config() as CLI config text, plus extra lines."""
+    text = ("truth = f2\nn_grid = [40, 60]\nrepetitions = 2\nseed = 11\nnoise_sd = 1.0\n"
+            "grids.k = [1, 4, 8, 16]\ngrids.eps = [0.5, 1.0]\n") + extra
+    path = tmp_path / "sweep.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def mean_fit_curve(config, n, grid, threads=1):
+    return run_sweep(config, threads=threads, curve=(n, grid)).curve
+
+
+def curve_bytes(curve, path):
+    curve.write_csv(path)
+    return path.read_bytes()
+
+
 class TestMeanFitCurve:
     def test_noiseless_full_rank_matches_truth(self):
         cfg = grid_config(noise_sd=0.0, k_grid=(60,), eps_grid=(1.0,),
@@ -356,7 +428,7 @@ class TestMeanFitCurve:
 
     def test_blocks_curve_tracks_truth_away_from_jumps(self):
         cfg = ExperimentConfig(
-            truth="f2", n_grid=(500, 1000), repetitions=20, seed=4, kernel=KERNEL,
+            truth="f2", n_grid=(1000,), repetitions=20, seed=4, kernel=KERNEL,
             k_grid=(4, 8, 11, 16, 23, 32, 45, 64), eps_grid=(0.12, 0.25),
         )
         grid = np.linspace(0.05, 4.95, 50)
@@ -367,3 +439,58 @@ class TestMeanFitCurve:
             if min(abs(x - j) for j in jumps) <= 0.2:
                 continue
             assert abs(fit_val - f2(x)) <= 0.25
+
+    # the curve's n largest, smallest with a larger n after it, and above DENSE_LIMIT
+    @pytest.mark.parametrize("overrides, n", [
+        (dict(repetitions=3), 60),
+        (dict(repetitions=3), 40),
+        (dict(n_grid=(450, 500), repetitions=2, eps_grid=(0.12, 0.5), k_grid=(4, 16)), 450),
+    ])
+    def test_curve_is_byte_identical_to_a_second_pass_of_fits(self, tmp_path, overrides, n):
+        cfg = grid_config(**overrides)
+        grid = np.linspace(0.2, 4.8, 9)
+        expect = curve_bytes(refit_curve(cfg, n, grid), tmp_path / "oracle.csv")
+        for threads in (1, 2):
+            curve = mean_fit_curve(cfg, n, grid, threads=threads)
+            assert curve_bytes(curve, tmp_path / ("%d.csv" % threads)) == expect
+
+    def test_curve_n_must_be_swept(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_sweep_job", None)  # no job may start
+        with pytest.raises(InvalidInputError, match="n_grid"):
+            mean_fit_curve(grid_config(), 50, [1.0, 2.0])
+
+    def test_one_grid_search_per_job_with_or_without_a_curve(self, monkeypatch, tmp_path):
+        calls = []
+        real = experiments.grid_search
+
+        def counting(samples, *args, **kwargs):
+            calls.append(samples.n)
+            return real(samples, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "grid_search", counting)
+        config = write_config(tmp_path, "")
+        for extra in ([], ["--set", "curve.points = 5"]):
+            calls.clear()
+            assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "o"),
+                             "--threads", "1"] + extra) == 0
+            assert sorted(calls) == [40, 40, 60, 60]
+
+    def test_retried_repetition_enters_the_curve(self, monkeypatch, tmp_path):
+        # rep 0 at the curve's n fails on its first stream only
+        drawn = fail_on_streams(monkeypatch, (60, 0))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, "curve.points = 6\n"),
+                         "--out", str(out), "--threads", "1"]) == 0
+        assert (60, experiments._RETRY_OFFSET) in drawn
+        assert not (out / "failures.csv").exists()
+        oracle = refit_curve(grid_config(), 60, np.linspace(0.0, 5.0, 8)[1:-1],
+                             streams=[experiments._RETRY_OFFSET, 1])
+        assert (out / "curve.csv").read_bytes() == curve_bytes(oracle, tmp_path / "oracle.csv")
+
+    def test_repetition_failed_on_both_streams_is_left_out(self, monkeypatch, tmp_path):
+        fail_on_streams(monkeypatch, (60, 0), (60, experiments._RETRY_OFFSET))
+        grid = np.linspace(0.5, 4.5, 5)
+        curve = mean_fit_curve(grid_config(), 60, grid)
+        oracle = refit_curve(grid_config(), 60, grid, streams=[1])
+        assert sum(curve.counts) == 60
+        assert curve_bytes(curve, tmp_path / "c.csv") == curve_bytes(oracle, tmp_path / "o.csv")

@@ -116,10 +116,11 @@ class TestEigensolve:
             ang = subspace_angles(dense.vectors[:, idx], iterative.vectors[:, idx])
             assert ang.max() < 1e-6
 
-    @pytest.mark.parametrize("eps", [0.12, 0.5])
-    def test_iterative_matches_dense_oracle_at_sweep_size(self, eps):
+    @pytest.mark.parametrize("n, eps", [(1000, 0.12), (1000, 0.5), (500, 0.12)],
+                             ids=["0.12", "0.5", "n500-0.12"])
+    def test_iterative_matches_dense_oracle_at_sweep_size(self, n, eps):
         # above DENSE_LIMIT, where the sweep takes the banded shift-invert path
-        x = np.random.default_rng(15).uniform(0.0, 5.0, 1000)
+        x = np.random.default_rng(15).uniform(0.0, 5.0, n)
         op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec.truncated_gaussian()))
         dense = eigensolve(op, 64, method="dense")
         iterative = eigensolve(op, 64)
