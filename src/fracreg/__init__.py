@@ -27,7 +27,7 @@ _EXPORTS = {
     "sobolev": ("SeminormResult", "TestFunction", "continuum_seminorm", "spectral_seminorm",
                 "zoo", "zoo_function"),
     "spectral": ("EigenSystem", "LaplacianOperator", "dirichlet_form", "eigensolve",
-                 "fractional_apply", "laplacian"),
+                 "laplacian"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("csvout", *_EXPORTS)

@@ -114,12 +114,6 @@ class RegressionFit:
                   rows, "d" + "g" * samples.dim + ("s" if y is None else "g") + "g", preamble)
 
 
-def _project(eig: EigenSystem, y: np.ndarray, K: int):
-    coef = eig.coefficients(y)[:K]
-    fitted = eig.vectors[:, :K] @ coef if K > 0 else np.zeros(eig.n)
-    return fitted, coef
-
-
 def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> RegressionFit:
     """Project the responses onto the first K eigenvectors at bandwidth epsilon.
 
@@ -140,17 +134,17 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
             stacklevel=2,
         )
     eig = eigensolve(laplacian(graph), max(K, 1))
-    return _regression_fit(eig, samples.responses, K, epsilon, report)
+    fits, coef = eig.partial_fits(samples.responses, [K])
+    return _regression_fit(eig, fits[0], coef, K, epsilon, report)
 
 
-def _regression_fit(eig: EigenSystem, y: np.ndarray, K: int, epsilon: float,
-                    report: ConnectivityReport) -> RegressionFit:
-    fitted, coef = _project(eig, y, K)
+def _regression_fit(eig: EigenSystem, fitted: np.ndarray, coef: np.ndarray, K: int,
+                    epsilon: float, report: ConnectivityReport) -> RegressionFit:
     return RegressionFit(
         fitted=fitted,
         K=K,
         epsilon=float(epsilon),
-        projections=coef,
+        projections=coef[:K],
         eig=eig,
         connected=report.connected,
         component_count=report.component_count,
@@ -189,10 +183,10 @@ def grid_search(
     """In-sample MSE |f_hat - truth|_n^2 over every (K, epsilon) grid pair.
 
     Each bandwidth needs one eigensystem; nested K values reuse it through
-    cumulative projections.  Ties break toward smaller K, then smaller epsilon.
-    The winning bandwidth's graph and eigensystem are kept and returned as
-    best_fit, so fitting at the optimum needs no further solve; a
-    disconnected winner is reported on the fit, not warned about.
+    EigenSystem.partial_fits.  Ties break toward smaller K, then smaller
+    epsilon.  best_fit holds the winning bandwidth's eigensystem and the very
+    row that scored best_mse, so fitting at the optimum needs no further
+    solve; a disconnected winner is reported on the fit, not warned about.
     """
     K_grid = [int(k) for k in K_grid]
     eps_grid = [float(e) for e in eps_grid]
@@ -214,17 +208,16 @@ def grid_search(
     for j, eps in enumerate(eps_grid):
         graph = build_graph(samples, eps, kernel)
         eig = eigensolve(laplacian(graph), min(mmax, n))
-        fits = np.zeros((eig.m + 1, n))  # row K: the fit on the first K vectors, summed in order
-        np.cumsum(eig.coefficients(y)[:, None] * eig.vectors.T, axis=0, out=fits[1:])
-        surface[:, j] = np.mean((fits[K_grid] - truth) ** 2, axis=1)
-        for K, mse in zip(K_grid, surface[:, j].tolist()):
+        fits, coef = eig.partial_fits(y, K_grid)
+        surface[:, j] = np.mean((fits - truth) ** 2, axis=1)
+        for K, mse, fitted in zip(K_grid, surface[:, j].tolist(), fits):
             key = (mse, K, eps)
             if best is None or key < best:
-                best, winner = key, (graph, eig)
+                best, winner = key, (graph, eig, fitted, coef)
     best_mse, best_K, best_eps = best
-    graph, eig = winner
+    graph, eig, fitted, coef = winner
     return GridSearchResult(
-        best_fit=_regression_fit(eig, y, best_K, best_eps, graph.components),
+        best_fit=_regression_fit(eig, fitted, coef, best_K, best_eps, graph.components),
         best_mse=best_mse,
         K_grid=tuple(K_grid),
         eps_grid=tuple(eps_grid),
@@ -249,8 +242,7 @@ def bias_variance_decompose(fit_result: RegressionFit, truth: np.ndarray) -> Bia
     eig = fit_result.eig
     if truth.shape != (eig.n,):
         raise InvalidInputError("truth must have length n=%d" % eig.n)
-    K = fit_result.K
-    proj_truth, _ = _project(eig, truth, K)
+    proj_truth = eig.partial_fits(truth, [fit_result.K])[0][0]
     bias_sq = float(np.mean((truth - proj_truth) ** 2))
     variance_proxy = float(np.mean((fit_result.fitted - proj_truth) ** 2))
     return BiasVariance(bias_sq=bias_sq, variance_proxy=variance_proxy)

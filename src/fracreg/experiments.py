@@ -217,18 +217,18 @@ class ExperimentReport:
 def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.ndarray):
     """Tune (rule or grid search) and fit; returns (fit result, mse).
 
-    A grid search already holds the fit at its optimum, so that path runs
-    one eigensolve per bandwidth and none after.
+    A grid search already holds the fit and its score at the optimum, so
+    that path runs one eigensolve per bandwidth and none after.
     """
     n = samples.n
-    if config.tuning is not None:
-        K, eps = config.tuning.resolve(n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedGraphWarning)
-            res = fit(samples, K, eps, config.kernel)
-    else:
-        res = grid_search(samples, [k for k in config.k_grid if k <= n], config.eps_grid,
-                          config.kernel, truth_values).best_fit
+    if config.tuning is None:
+        search = grid_search(samples, [k for k in config.k_grid if k <= n], config.eps_grid,
+                             config.kernel, truth_values)
+        return search.best_fit, search.best_mse
+    K, eps = config.tuning.resolve(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DisconnectedGraphWarning)
+        res = fit(samples, K, eps, config.kernel)
     return res, float(np.mean((res.fitted - truth_values) ** 2))
 
 

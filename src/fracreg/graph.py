@@ -146,18 +146,6 @@ class KernelSpec:
             return float(out)
         return out
 
-    @classmethod
-    def indicator(cls) -> "KernelSpec":
-        return cls("indicator")
-
-    @classmethod
-    def triangular(cls) -> "KernelSpec":
-        return cls("triangular")
-
-    @classmethod
-    def truncated_gaussian(cls, h: float = 0.4) -> "KernelSpec":
-        return cls("truncated_gaussian", h)
-
 
 @dataclass(frozen=True)
 class KernelMoments:

@@ -197,11 +197,6 @@ class SeminormResult:
     diverged: bool
     refinements: tuple
 
-    @property
-    def seminorm(self) -> float:
-        """Square root of the converged squared seminorm (inf when diverged)."""
-        return math.inf if self.diverged else math.sqrt(max(self.value, 0.0))
-
 
 def _lag_sums(f: np.ndarray) -> np.ndarray:
     """G[k] = sum_i (f_i - f_{i+k})^2 for k = 1..N-1, via FFT autocorrelation."""

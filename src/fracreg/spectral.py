@@ -1,4 +1,4 @@
-"""Scaled unnormalized graph Laplacian, its eigensystem, and spectral calculus.
+"""Scaled unnormalized graph Laplacian, its eigensystem, and projections onto it.
 
 The operator is L = (D - W) / (n eps^(d+2)).  Eigenvectors follow the
 empirical normalization: |v|_n = 1, i.e. the plain Euclidean norm is sqrt(n),
@@ -24,7 +24,7 @@ from fracreg.graph import NeighborGraph
 # BLAS thread, dense took 0.93, 1.2 and 1.5 times as long at n = 400, 450, 500.
 DENSE_LIMIT = 400
 
-# Eigenvalues in [-CLAMP_TOL, 0) are treated as zero before fractional powers.
+# Eigenvalues in [-CLAMP_TOL, 0) count as zero in sobolev.spectral_seminorm's powers.
 CLAMP_TOL = 1e-10
 
 _RESIDUAL_TOL = 1e-8
@@ -83,6 +83,24 @@ class EigenSystem:
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Empirical inner products <u, v_i>_n for every computed pair."""
         return self.vectors.T @ np.asarray(u, dtype=float) / self.n
+
+    def partial_fits(self, u: np.ndarray, Ks) -> tuple:
+        """(fits, coefficients): fits[i] projects u onto the first Ks[i] vectors.
+
+        Every row is the running sum c_1 v_1 + c_2 v_2 + ... in eigen order,
+        the floats of numpy's cumulative sum, taken in one pass up to max(Ks)
+        that holds len(Ks) rows of n and no (m, n) temporary.  K = 0 gives 0.
+        """
+        coef = self.coefficients(u)
+        Ks = np.asarray(Ks, dtype=int)
+        if not np.all((0 <= Ks) & (Ks <= self.m)):
+            raise InvalidInputError("K must lie in [0, m=%d]" % self.m)
+        fits = np.zeros((Ks.size, self.n))
+        acc = np.zeros(self.n)
+        for k in range(Ks.max(initial=0)):
+            acc += coef[k] * self.vectors[:, k]
+            fits[Ks == k + 1] = acc
+        return fits, coef
 
     def save_csv(self, path):
         """One row per pair: index, eigenvalue, then the n vector entries."""
@@ -182,18 +200,24 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
             values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0[perm],
                                       OPinv=_shift_invert(op.matrix, shift, position))
         except spla.ArpackNoConvergence as exc:
-            worst = None
-            if exc.eigenvalues is not None and len(exc.eigenvalues):
-                ev, evec = exc.eigenvalues, exc.eigenvectors[position]
-                res = np.linalg.norm(op.matrix @ evec - evec * ev, axis=0)
-                worst = float(np.max(res)) / np.sqrt(n)
-            raise SolverError(
-                "eigensolver failed to converge within the iteration budget "
-                "(worst residual %s)" % worst,
-                worst_residual=worst,
-            ) from exc
-        order = np.argsort(values)
-        values, vecs = values[order], vecs[np.ix_(position, order)]
+            if op.graph.components.component_count >= m:
+                # a kernel of dimension >= m: the m smallest eigenvalues are all
+                # 0, a cluster ARPACK need not resolve, spanned by the components
+                values, vecs = np.zeros(m), _kernel_basis(op.graph, m) / np.sqrt(n)
+            else:
+                worst = None
+                if exc.eigenvalues is not None and len(exc.eigenvalues):
+                    ev, evec = exc.eigenvalues, exc.eigenvectors[position]
+                    res = np.linalg.norm(op.matrix @ evec - evec * ev, axis=0)
+                    worst = float(np.max(res)) / np.sqrt(n)
+                raise SolverError(
+                    "eigensolver failed to converge within the iteration budget "
+                    "(worst residual %s)" % worst,
+                    worst_residual=worst,
+                ) from exc
+        else:
+            order = np.argsort(values)
+            values, vecs = values[order], vecs[np.ix_(position, order)]
 
     # Round-off on the provably-zero kernel eigenvalue would be amplified by
     # fractional powers later; snap the near-zero part of the spectrum to 0.
@@ -216,30 +240,6 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
             worst_residual=worst,
         )
     return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors, n=n)
-
-
-def fractional_apply(eig: EigenSystem, s: float, u: np.ndarray) -> np.ndarray:
-    """Apply the fractional power: sum_i lambda_i^s <u, v_i>_n v_i.
-
-    Requires 0 < s < 1 and either a complete eigensystem or u inside the
-    computed span.  Round-off eigenvalues in [-1e-10, 0) are clamped to zero.
-    """
-    if not 0.0 < s < 1.0:
-        raise InvalidInputError("s must lie in (0, 1)")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (eig.n,):
-        raise InvalidInputError("u must have length n=%d" % eig.n)
-    coef = eig.coefficients(u)
-    if eig.m < eig.n:
-        recon = eig.vectors @ coef
-        gap = np.sqrt(np.mean((u - recon) ** 2))
-        if gap > 1e-8 * max(1.0, np.sqrt(np.mean(u * u))):
-            raise InvalidInputError(
-                "u lies outside the computed span (residual %.3e); "
-                "request a complete eigensystem" % gap
-            )
-    lam = _clamped(eig.values)
-    return eig.vectors @ (lam ** s * coef)
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from fracreg.sobolev import (
 )
 from fracreg.spectral import dirichlet_form, eigensolve, laplacian
 
-KERNEL = KernelSpec.truncated_gaussian()
+KERNEL = KernelSpec("truncated_gaussian")
 THREADS = min(4, os.cpu_count() or 1)
 
 

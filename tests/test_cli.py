@@ -10,8 +10,9 @@ from fracreg import cli
 from fracreg import config as cfgmod
 from fracreg import experiments
 from fracreg.errors import SolverError
-from fracreg.graph import SampleSet
+from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import zoo
+from fracreg.spectral import DENSE_LIMIT, _kernel_basis, eigensolve, laplacian
 
 SWEEP_CONFIG = """\
 truth = f2
@@ -434,6 +435,24 @@ m = 10
         assert len(lines) == 11
         first = lines[1].split(",")
         assert float(first[1]) <= 1e-8
+
+    def test_kernel_of_dimension_m_or_more_exits_0(self, tmp_path):
+        # 32 components at m = 16: ARPACK stalls on the 16-fold zero eigenvalue
+        # (about 5 s), which the components span exactly.  eigen.csv holds the
+        # iterative eigensolve's pairs to the last bit, so one stall covers both
+        # the library and the command.
+        cfg = write(tmp_path / "e.txt", "n = 800\nseed = 2\nepsilon = 0.02\nm = 16\n")
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 0
+        table = np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1)
+        x = experiments.draw_design(2, 800, 0, 0.0, 5.0)
+        graph = build_graph(SampleSet(x[:, None]), 0.02, KernelSpec("truncated_gaussian"))
+        assert graph.components.component_count == 32 and graph.n > DENSE_LIMIT
+        dense = eigensolve(laplacian(graph), 16, "dense")
+        assert np.all(table[:, 1] == 0.0) and np.all(dense.values == 0.0)
+        np.testing.assert_allclose(table[:, 2:], dense.vectors.T, rtol=0, atol=1e-12)
+        assert np.all(table[0, 2:] == 1.0)
+        np.testing.assert_array_equal(table[1:, 2:], _kernel_basis(graph, 16)[:, 1:].T)
 
     def test_data_file_input(self, tmp_path):
         x = np.linspace(0, 2, 50)

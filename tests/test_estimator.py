@@ -19,7 +19,7 @@ from fracreg.experiments import ExperimentConfig, generate
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.spectral import eigensolve, laplacian
 
-KERNEL = KernelSpec.truncated_gaussian()
+KERNEL = KernelSpec("truncated_gaussian")
 
 
 def uniform_instance(seed, n=60, noise=1.0, low=0.0, high=5.0):
@@ -121,7 +121,7 @@ class TestFit:
 
     def test_k1_is_mean_on_connected_graph(self):
         s = SampleSet(np.array([[0.0], [0.5], [1.0]]), np.array([2.0, 4.0, 6.0]))
-        res = fit(s, 1, 2.0, KernelSpec.indicator())
+        res = fit(s, 1, 2.0, KernelSpec("indicator"))
         np.testing.assert_allclose(res.fitted, [4.0, 4.0, 4.0], atol=1e-12)
 
     def test_k1_is_mean_when_components_outnumber_k(self):
@@ -223,7 +223,7 @@ class TestFit:
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         s = SampleSet(pts, np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.warns(DisconnectedGraphWarning):
-            fit(s, 2, 0.5, KernelSpec.indicator())
+            fit(s, 2, 0.5, KernelSpec("indicator"))
 
     def test_save_csv_metadata(self, tmp_path):
         s = uniform_instance(6, n=20)
@@ -265,6 +265,19 @@ class TestGridSearch:
                 for k in range(K):
                     fitted = fitted + coef[k] * eig.vectors[:, k]
                 assert res.mse_surface[i, j] == float(np.mean((fitted - truth) ** 2))
+
+    @pytest.mark.parametrize("n, K_grid", [(300, [1, 4, 9, 16, 32]), (600, [12])])
+    def test_fit_at_the_optimum_is_the_searched_fit(self, n, K_grid):
+        # best_fit is the row that scored best_mse, and fit reproduces it bit
+        # for bit whenever it solves for the same pairs: on the dense path at
+        # any grid, on the iterative one when the grid holds a single K
+        s = uniform_instance(16, n=n)
+        truth = np.sin(s.points[:, 0])
+        res = grid_search(s, K_grid, [0.3, 0.6], KERNEL, truth)
+        assert res.best_mse == float(np.mean((res.best_fit.fitted - truth) ** 2))
+        again = fit(s, res.best_K, res.best_epsilon, KERNEL)
+        np.testing.assert_array_equal(again.fitted, res.best_fit.fitted)
+        np.testing.assert_array_equal(again.projections, res.best_fit.projections)
 
     def test_noiseless_full_rank_wins(self):
         rng = np.random.default_rng(8)

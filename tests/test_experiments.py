@@ -5,7 +5,7 @@ import pytest
 
 from fracreg import cli, estimator, experiments
 from fracreg.errors import InvalidInputError, SolverError
-from fracreg.estimator import TuningRule, fit
+from fracreg.estimator import TuningRule, fit, grid_search
 from fracreg.experiments import (
     ExperimentConfig,
     _fit_once,
@@ -16,7 +16,7 @@ from fracreg.experiments import (
 )
 from fracreg.graph import KernelSpec
 
-KERNEL = KernelSpec.truncated_gaussian()
+KERNEL = KernelSpec("truncated_gaussian")
 
 
 def grid_config(**overrides):
@@ -220,6 +220,22 @@ class TestRunSweep:
         bv = bias_variance_decompose(res, truth)
         rec = next(r for r in report.records if r.n == 50 and r.rep == 0)
         assert rec.mse == bv.bias_sq
+
+    def test_grid_tuned_record_is_the_searched_score(self):
+        # default grids: each record carries the search's own best_mse, which
+        # is the score of the very fit the search keeps
+        cfg = grid_config(n_grid=(500, 750, 1000), repetitions=5, seed=3,
+                          k_grid=(1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64),
+                          eps_grid=(0.12, 0.25, 0.5))
+        report = run_sweep(cfg, threads=2)
+        assert len(report.records) == 15
+        for r in report.records:
+            samples = generate(cfg, r.n, r.rep)
+            truth = cfg.truth_function()(samples.points[:, 0])
+            search = grid_search(samples, cfg.k_grid, cfg.eps_grid, KERNEL, truth)
+            assert (r.K, r.epsilon, r.mse) == (search.best_K, search.best_epsilon,
+                                               search.best_mse)
+            assert search.best_mse == float(np.mean((search.best_fit.fitted - truth) ** 2))
 
     def test_csv_schemas(self, tmp_path):
         cfg = grid_config()

@@ -93,7 +93,7 @@ class TestKernels:
             KernelSpec("truncated_gaussian", h=0.0)
 
     @pytest.mark.parametrize("kernel", [
-        KernelSpec.indicator(), KernelSpec.triangular(), KernelSpec.truncated_gaussian(),
+        KernelSpec("indicator"), KernelSpec("triangular"), KernelSpec("truncated_gaussian"),
     ])
     def test_compact_support_and_monotone(self, kernel):
         t = np.linspace(0.0, 1.0, 200)
@@ -103,17 +103,17 @@ class TestKernels:
         assert kernel(1.0001) == 0.0 and kernel(5.0) == 0.0
 
     def test_moments_indicator_1d(self):
-        m = kernel_moments(KernelSpec.indicator(), 1)
+        m = kernel_moments(KernelSpec("indicator"), 1)
         assert m.sigma0 == pytest.approx(2.0, abs=1e-10)
         assert m.sigma1 == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_moments_indicator_2d(self):
-        m = kernel_moments(KernelSpec.indicator(), 2)
+        m = kernel_moments(KernelSpec("indicator"), 2)
         assert m.sigma0 == pytest.approx(math.pi, abs=1e-10)
         assert m.sigma1 == pytest.approx(math.pi / 4.0, abs=1e-10)
 
     def test_moments_triangular_1d(self):
-        m = kernel_moments(KernelSpec.triangular(), 1)
+        m = kernel_moments(KernelSpec("triangular"), 1)
         assert m.sigma0 == pytest.approx(1.0, abs=1e-10)
         assert m.sigma1 == pytest.approx(1.0 / 6.0, abs=1e-10)
 
@@ -121,32 +121,32 @@ class TestKernels:
 class TestBuildGraph:
     def test_three_point_indicator(self):
         s = SampleSet(np.array([[0.0], [0.3], [2.0]]))
-        g = build_graph(s, 0.5, KernelSpec.indicator())
+        g = build_graph(s, 0.5, KernelSpec("indicator"))
         assert graph_edge_set(g) == {(0, 1)}
         assert g.weights[0, 1] == 1.0
         assert g.degree[2] == 0.0  # isolated vertex
 
     def test_triangular_weight_value(self):
         s = SampleSet(np.array([[0.0], [0.3]]))
-        g = build_graph(s, 0.5, KernelSpec.triangular())
+        g = build_graph(s, 0.5, KernelSpec("triangular"))
         assert g.weights[0, 1] == pytest.approx(1.0 - 0.6, abs=1e-15)
 
     def test_edge_count_matches_oracle(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(0.0, 5.0, (50, 1))
-        g = build_graph(SampleSet(pts), 0.8, KernelSpec.indicator())
+        g = build_graph(SampleSet(pts), 0.8, KernelSpec("indicator"))
         assert graph_edge_set(g) == pairwise_edges_oracle(pts, 0.8)
 
     def test_invalid_epsilon(self):
         s = SampleSet(np.array([[0.0], [1.0]]))
         with pytest.raises(InvalidInputError):
-            build_graph(s, 0.0, KernelSpec.indicator())
+            build_graph(s, 0.0, KernelSpec("indicator"))
 
     def test_graph_invariants(self):
         rng = np.random.default_rng(7)
         s = SampleSet(rng.uniform(0, 1, (80, 2)))
         eps = 0.25
-        g = build_graph(s, eps, KernelSpec.truncated_gaussian())
+        g = build_graph(s, eps, KernelSpec("truncated_gaussian"))
         W = g.weights
         assert (W != W.T).nnz == 0            # symmetric
         assert W.diagonal().sum() == 0.0      # no self loops
@@ -159,16 +159,16 @@ class TestBuildGraph:
         rng = np.random.default_rng(21)
         pts = rng.uniform(0, 2, (40, 2))
         perm = rng.permutation(40)
-        g = build_graph(SampleSet(pts), 0.6, KernelSpec.triangular())
-        gp = build_graph(SampleSet(pts[perm]), 0.6, KernelSpec.triangular())
+        g = build_graph(SampleSet(pts), 0.6, KernelSpec("triangular"))
+        gp = build_graph(SampleSet(pts[perm]), 0.6, KernelSpec("triangular"))
         dense = g.weights.toarray()
         np.testing.assert_allclose(gp.weights.toarray(), dense[np.ix_(perm, perm)])
 
     def test_epsilon_monotone_edge_sets(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 3, (60, 1))
-        small = build_graph(SampleSet(pts), 0.3, KernelSpec.indicator())
-        large = build_graph(SampleSet(pts), 0.7, KernelSpec.indicator())
+        small = build_graph(SampleSet(pts), 0.3, KernelSpec("indicator"))
+        large = build_graph(SampleSet(pts), 0.7, KernelSpec("indicator"))
         assert graph_edge_set(small) <= graph_edge_set(large)
 
     def test_indexed_matches_scan(self):
@@ -182,7 +182,7 @@ class TestBuildGraph:
     def test_large_n_uses_index_and_matches_scan(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 5, (600, 1))
-        g = build_graph(SampleSet(pts), 0.3, KernelSpec.indicator())
+        g = build_graph(SampleSet(pts), 0.3, KernelSpec("indicator"))
         i, j, _ = brute_force_pairs(pts, 0.3)
         assert graph_edge_set(g) == set(zip(i.tolist(), j.tolist()))
 
@@ -190,7 +190,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(17)
         n, eps = BRUTE_FORCE_LIMIT + 200, 0.3
         pts = rng.uniform(0, 3, (n, 2))
-        kernel = KernelSpec.triangular()
+        kernel = KernelSpec("triangular")
         W = build_graph(SampleSet(pts), eps, kernel).weights
         assert W.has_canonical_format
         assert (W != W.T).nnz == 0
@@ -203,25 +203,25 @@ class TestBuildGraph:
     def test_tiny_weights_dropped(self):
         # shape h = 0.05 makes the weight at distance ~eps around exp(-200)
         s = SampleSet(np.array([[0.0], [0.999]]))
-        g = build_graph(s, 1.0, KernelSpec.truncated_gaussian(h=0.05))
+        g = build_graph(s, 1.0, KernelSpec("truncated_gaussian", h=0.05))
         assert g.weights.nnz == 0
 
 
 class TestConnectivity:
     def test_isolated_vertex_counts(self):
         s = SampleSet(np.array([[0.0], [0.3], [2.0]]))
-        g = build_graph(s, 0.5, KernelSpec.indicator())
+        g = build_graph(s, 0.5, KernelSpec("indicator"))
         rep = connectivity_check(g)
         assert rep.component_count == 2 and not rep.connected
 
     def test_complete_graph(self):
         s = SampleSet(np.array([[0.0], [0.1], [0.2], [0.3]]))
-        g = build_graph(s, 1.0, KernelSpec.indicator())
+        g = build_graph(s, 1.0, KernelSpec("indicator"))
         rep = connectivity_check(g)
         assert rep.component_count == 1 and rep.connected
 
     def test_empty_edge_set(self):
         s = SampleSet(np.arange(5.0)[:, None] * 10.0)
-        g = build_graph(s, 0.5, KernelSpec.indicator())
+        g = build_graph(s, 0.5, KernelSpec("indicator"))
         rep = connectivity_check(g)
         assert rep.component_count == 5 and not rep.connected

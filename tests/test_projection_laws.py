@@ -1,15 +1,17 @@
-"""Projection laws of the eigenmap fit on random, often disconnected, graphs."""
+"""Projection laws of the eigenmap fit: on random, often disconnected, graphs,
+and under affine maps of the design and of the responses."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracreg.estimator import DisconnectedGraphWarning, fit
 from fracreg.graph import KernelSpec, SampleSet
 
-KERNEL = KernelSpec.truncated_gaussian()
+KERNEL = KernelSpec("truncated_gaussian")
 LAWS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
@@ -62,3 +64,32 @@ def test_projection_laws():
 
     laws()
     assert any(count > 1 for count in component_counts)
+
+
+def affine_instance(n):
+    """n uniform points on [0, 5], a smooth truth plus unit noise, and (K, epsilon)."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 5.0, n)
+    K, epsilon = {400: (20, 0.25), 2000: (40, 0.12)}[n]
+    return x, np.sin(2.0 * x) + rng.standard_normal(n), K, epsilon
+
+
+@pytest.mark.parametrize("n", [400, 2000])  # the dense and the iterative solver
+@pytest.mark.parametrize("scale, shift", [(0.2, 0.0), (3.0, -7.0), (40.0, 100.0)])
+def test_fit_does_not_depend_on_the_units_of_the_design(n, scale, shift):
+    # epsilon scales with the design, so the graph's weights and its
+    # eigenvectors stay put; only the eigenvalues rescale
+    x, y, K, epsilon = affine_instance(n)
+    base = fit(SampleSet(x[:, None], y), K, epsilon, KERNEL)
+    moved = fit(SampleSet((scale * x + shift)[:, None], y), K, scale * epsilon, KERNEL)
+    np.testing.assert_allclose(moved.fitted, base.fitted, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+@pytest.mark.parametrize("scale, shift", [(-3.5, 10.0), (0.01, 3.0)])
+def test_fit_maps_with_the_responses(n, scale, shift):
+    # the projection is linear and, for K >= 1, keeps constants
+    x, y, K, epsilon = affine_instance(n)
+    base = fit(SampleSet(x[:, None], y), K, epsilon, KERNEL)
+    moved = fit(SampleSet(x[:, None], scale * y + shift), K, epsilon, KERNEL)
+    np.testing.assert_allclose(moved.fitted, scale * base.fitted + shift, rtol=0, atol=1e-11)

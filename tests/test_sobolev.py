@@ -257,7 +257,7 @@ class TestSpectralSeminorm:
         rng = np.random.default_rng(seed)
         x = np.sort(rng.uniform(0, 5, n))
         s = SampleSet(x[:, None])
-        graph = build_graph(s, eps, KernelSpec.truncated_gaussian())
+        graph = build_graph(s, eps, KernelSpec("truncated_gaussian"))
         op = laplacian(graph)
         return op, eigensolve(op, n)
 

@@ -11,7 +11,6 @@ from fracreg.spectral import (
     LaplacianOperator,
     dirichlet_form,
     eigensolve,
-    fractional_apply,
     laplacian,
 )
 
@@ -19,14 +18,14 @@ from fracreg.spectral import (
 def path3_operator():
     # three collinear points, consecutive gaps below eps, ends beyond
     s = SampleSet(np.array([[0.0], [0.9], [1.8]]))
-    g = build_graph(s, 1.0, KernelSpec.indicator())
+    g = build_graph(s, 1.0, KernelSpec("indicator"))
     return laplacian(g)
 
 
 def random_geometric_operator(seed, n=80, dim=2, eps=0.35):
     rng = np.random.default_rng(seed)
     s = SampleSet(rng.uniform(0, 1, (n, dim)))
-    g = build_graph(s, eps, KernelSpec.truncated_gaussian())
+    g = build_graph(s, eps, KernelSpec("truncated_gaussian"))
     return laplacian(g)
 
 
@@ -36,7 +35,7 @@ def twelve_clusters(perm=None):
     x = (np.arange(12)[:, None] + rng.uniform(0, 0.3, (12, 10))).ravel()
     if perm is not None:
         x = x[perm]
-    return laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec.indicator()))
+    return laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec("indicator")))
 
 
 def eigen_clusters(values, gap=1e-8):
@@ -72,7 +71,7 @@ class TestLaplacian:
     def test_two_point_quadratic_form(self):
         for eps in (0.7, 1.0, 1.3):
             s = SampleSet(np.array([[0.0], [0.5]]))
-            g = build_graph(s, eps, KernelSpec.triangular())
+            g = build_graph(s, eps, KernelSpec("triangular"))
             op = laplacian(g)
             w = g.weights[0, 1]
             u = np.array([0.0, 1.0])
@@ -121,7 +120,7 @@ class TestEigensolve:
     def test_iterative_matches_dense_oracle_at_sweep_size(self, n, eps):
         # above DENSE_LIMIT, where the sweep takes the banded shift-invert path
         x = np.random.default_rng(15).uniform(0.0, 5.0, n)
-        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec.truncated_gaussian()))
+        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec("truncated_gaussian")))
         dense = eigensolve(op, 64, method="dense")
         iterative = eigensolve(op, 64)
         assert np.max(np.abs(dense.values - iterative.values)) < 1e-8
@@ -232,7 +231,7 @@ class TestEigensolve:
         c = a + [5.0, -3.0]
         pts = np.vstack([c, b, a])
         for perm in (np.arange(24), np.random.default_rng(5).permutation(24)):
-            g = build_graph(SampleSet(pts[perm]), 1.0, KernelSpec.indicator())
+            g = build_graph(SampleSet(pts[perm]), 1.0, KernelSpec("indicator"))
             v = eigensolve(laplacian(g), 3, "dense").vectors
             which = np.repeat([2, 1, 0], 8)[perm]  # c, b, a -> order a, b, c
             assert np.all(v[which == 0, 1] > 0) and np.all(v[which != 0, 1] < 0)
@@ -268,6 +267,34 @@ class TestEigensolve:
         assert [float(v) for v in first[2:]] == pytest.approx([1.0, 1.0, 1.0])
 
 
+class TestPartialFits:
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_rows_are_the_sequential_sum_bit_for_bit(self, method):
+        # references: the fit grown one vector at a time, in eigen order, and
+        # numpy's cumulative sum over the same terms
+        op = random_geometric_operator(21, n=500, dim=1, eps=0.05)
+        eig = eigensolve(op, 30, method)
+        u = np.random.default_rng(22).standard_normal(op.n)
+        Ks = [7, 0, 30, 3, 7, 1]
+        fits, coef = eig.partial_fits(u, Ks)
+        np.testing.assert_array_equal(coef, eig.coefficients(u))
+        assert fits.shape == (len(Ks), op.n)
+        cumulative = np.cumsum(coef[:, None] * eig.vectors.T, axis=0)
+        for row, K in zip(fits, Ks):
+            expected = np.zeros(op.n)
+            for k in range(K):
+                expected = expected + coef[k] * eig.vectors[:, k]
+            np.testing.assert_array_equal(row, expected)
+            if K:
+                np.testing.assert_array_equal(row, cumulative[K - 1])
+
+    def test_K_beyond_the_computed_pairs_rejected(self):
+        eig = eigensolve(path3_operator(), 2)
+        for Ks in ([3], [-1], [0, 3]):
+            with pytest.raises(InvalidInputError):
+                eig.partial_fits(np.ones(3), Ks)
+
+
 class TestContinuumLimit:
     # Uniform design on (0, 5), density p = 0.2: the graph eigenvalues approach
     # the Neumann spectrum of -(sigma1 p / 2) d^2/dx^2, that is
@@ -277,60 +304,13 @@ class TestContinuumLimit:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n, eps", [(1000, 0.25), (4000, 0.15)])
     def test_low_spectrum_matches_continuum_neumann_eigenvalues(self, n, eps, seed):
-        kernel = KernelSpec.truncated_gaussian(0.4)
+        kernel = KernelSpec("truncated_gaussian", 0.4)
         x = np.random.default_rng(seed).uniform(0.0, 5.0, n)
         eig = eigensolve(laplacian(build_graph(SampleSet(x[:, None]), eps, kernel)), 12)
         k = np.arange(1, 12)
         predicted = kernel_moments(kernel, 1).sigma1 * 0.2 / 2.0 * (np.pi * k / 5.0) ** 2
         ratio = eig.values[1:] / predicted
         assert np.max(np.abs(ratio - 1.0)) < 0.25 * (n / 1000.0) ** (-1.0 / 3.0)
-
-
-class TestFractionalApply:
-    def test_eigenvector_scaling(self):
-        op = random_geometric_operator(9)
-        eig = eigensolve(op, op.n)
-        k, s = 4, 0.3
-        out = fractional_apply(eig, s, eig.vectors[:, k])
-        np.testing.assert_allclose(out, eig.values[k] ** s * eig.vectors[:, k], atol=1e-10)
-
-    def test_constant_annihilated(self):
-        op = random_geometric_operator(10)
-        eig = eigensolve(op, op.n)
-        for s in (0.2, 0.5, 0.8):
-            out = fractional_apply(eig, s, np.full(op.n, 2.5))
-            assert np.max(np.abs(out)) < 1e-9
-
-    def test_path3_against_dense_power_oracle(self):
-        op = path3_operator()
-        eig = eigensolve(op, 3)
-        lam = np.clip(eig.values, 0.0, None)
-        dense_power = (eig.vectors * lam ** 0.5) @ eig.vectors.T / 3.0
-        u = np.array([1.0, 0.0, -1.0])
-        np.testing.assert_allclose(fractional_apply(eig, 0.5, u), dense_power @ u, atol=1e-12)
-
-    def test_s_out_of_range(self):
-        op = path3_operator()
-        eig = eigensolve(op, 3)
-        for s in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(InvalidInputError):
-                fractional_apply(eig, s, np.ones(3))
-
-    def test_outside_span_rejected(self):
-        op = random_geometric_operator(11, n=60)
-        eig = eigensolve(op, 5)
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidInputError):
-            fractional_apply(eig, 0.5, rng.standard_normal(60))
-
-    def test_inside_span_accepted_on_partial_system(self):
-        op = random_geometric_operator(12, n=60)
-        eig = eigensolve(op, 5)
-        u = eig.vectors @ np.array([0.5, -1.0, 2.0, 0.0, 0.25])
-        out = fractional_apply(eig, 0.4, u)
-        expect = eig.vectors @ (np.clip(eig.values, 0, None) ** 0.4
-                                * np.array([0.5, -1.0, 2.0, 0.0, 0.25]))
-        np.testing.assert_allclose(out, expect, atol=1e-10)
 
 
 class TestDirichletForm:
