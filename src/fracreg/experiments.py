@@ -13,7 +13,6 @@ import ctypes
 import functools
 import itertools
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,12 +21,7 @@ from scipy.sparse.linalg import ArpackError
 
 from fracreg.csvout import write_csv
 from fracreg.errors import FracregError, InvalidInputError
-from fracreg.estimator import (
-    DisconnectedGraphWarning,
-    TuningRule,
-    fit,
-    grid_search,
-)
+from fracreg.estimator import TuningRule, grid_search
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import TestFunction, zoo_function
 from fracreg.spectral import eigensolve, laplacian
@@ -215,21 +209,19 @@ class ExperimentReport:
 
 
 def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.ndarray):
-    """Tune (rule or grid search) and fit; returns (fit result, mse).
+    """Tune and fit by one grid search; returns (fit result, mse).
 
-    A grid search already holds the fit and its score at the optimum, so
-    that path runs one eigensolve per bandwidth and none after.
+    The rule's (K, epsilon) is a one-cell grid, so both tunings run one
+    eigensolve per bandwidth, score with the same expression, and none of
+    them warns about a disconnected graph: the record carries it.
     """
-    n = samples.n
     if config.tuning is None:
-        search = grid_search(samples, [k for k in config.k_grid if k <= n], config.eps_grid,
-                             config.kernel, truth_values)
-        return search.best_fit, search.best_mse
-    K, eps = config.tuning.resolve(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedGraphWarning)
-        res = fit(samples, K, eps, config.kernel)
-    return res, float(np.mean((res.fitted - truth_values) ** 2))
+        k_grid, eps_grid = [k for k in config.k_grid if k <= samples.n], config.eps_grid
+    else:
+        K, eps = config.tuning.resolve(samples.n)
+        k_grid, eps_grid = [K], [eps]
+    search = grid_search(samples, k_grid, eps_grid, config.kernel, truth_values)
+    return search.best_fit, search.best_mse
 
 
 def _sweep_job(config: ExperimentConfig, n: int, rep: int, keep_fit: bool = False):

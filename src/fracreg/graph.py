@@ -253,5 +253,6 @@ class ConnectivityReport:
 
 def connectivity_check(graph: NeighborGraph) -> ConnectivityReport:
     """Label the connected components over positive-weight edges."""
-    count, labels = csgraph.connected_components(graph.weights, directed=False)
+    # strong components of the symmetric weights: no symmetrized copy is made
+    count, labels = csgraph.connected_components(graph.weights, connection="strong")
     return ConnectivityReport(connected=(count == 1), component_count=int(count), labels=labels)

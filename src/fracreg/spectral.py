@@ -27,8 +27,10 @@ DENSE_LIMIT = 400
 # Eigenvalues in [-CLAMP_TOL, 0) count as zero in sobolev.spectral_seminorm's powers.
 CLAMP_TOL = 1e-10
 
-_RESIDUAL_TOL = 1e-8
-_ZERO_EIGEN_TOL = 1e-8
+# An eigenvalue within _REL_TOL g of 0 is 0 and a residual above it fails, where
+# g = 2 max diag(L) >= |L|_2, so neither test depends on the design's units
+# (g is floored at 1e-30, like the shift, for a graph with no edges).
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,9 @@ class LaplacianOperator:
 
 def laplacian(graph: NeighborGraph) -> LaplacianOperator:
     """The scaled Laplacian, with d the dimension of the graph's points."""
-    scale = 1.0 / (graph.n * graph.epsilon ** (graph.points.shape[1] + 2))
-    mat = (sparse.diags(graph.degree) - graph.weights) * scale
-    return LaplacianOperator(graph=graph, matrix=mat.tocsr())
+    mat = (sparse.diags(graph.degree) - graph.weights).tocsr()
+    mat.data *= 1.0 / (graph.n * graph.epsilon ** (graph.points.shape[1] + 2))
+    return LaplacianOperator(graph=graph, matrix=mat)
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,17 @@ def _shift_invert(matrix: sparse.csr_matrix, shift: float,
     pbtrs solve takes O(b n) work, with no permutation per solve.
     """
     n = matrix.shape[0]
-    row = np.repeat(position, np.diff(matrix.indptr))  # RCM indices, intp
-    col = position[matrix.indices]
-    # both triangles land on the upper one, writing equal values into a cell
+    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(matrix.indptr))
+    # one entry of each symmetric pair: a run at the end of each sorted row,
+    # which selects far faster than a mask in RCM order
+    upper = matrix.indices >= row
+    row, col = position[row[upper]], position[matrix.indices[upper]]  # RCM, 32-bit
     row, col = np.minimum(row, col), np.maximum(row, col)
     b = int(np.max(col - row, initial=0))
     # LAPACK upper band storage: entry (row, col) sits at [b + row - col, col],
-    # which is row + b (col + 1) in the Fortran-order flat array
+    # which is row + b (col + 1) in the Fortran-order flat array, a 64-bit index
     band = np.zeros((b + 1) * n)
-    band[row + b * (col + 1)] = matrix.data
+    band[row + b * (col.astype(np.int64) + 1)] = matrix.data[upper]
     band = band.reshape((b + 1, n), order="F")
     band[b] -= shift
     pbtrf, pbtrs = linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
@@ -175,7 +179,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     computed spectrum holds two or more zero eigenvalues, the kernel part of
     the basis is replaced by the canonical one built from the graph's
     components (_kernel_basis), so fits do not depend on sample order.
-    Raises SolverError carrying the worst residual on non-convergence.
+    Raises SolverError, with the worst residual, on non-convergence or above _REL_TOL g.
     """
     n = op.n
     if not 1 <= m <= n:
@@ -185,15 +189,16 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     if method == "iterative" and m >= n - 1:
         raise InvalidInputError("iterative solver requires m <= n - 2")
 
+    diag = op.matrix.diagonal()
+    tol = _REL_TOL * (2.0 * float(diag.max()) + 1e-30)
     if method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1)):
         values, vecs = np.linalg.eigh(op.dense())
         values, vecs = values[:m], vecs[:, :m]
     else:
-        diag = op.matrix.diagonal()
         shift = -1e-3 * (float(np.mean(diag)) + 1e-30)
         v0 = np.random.Generator(np.random.Philox(key=0x5EED0F00D)).standard_normal(n)
         perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
-        position = np.argsort(perm)
+        position = np.argsort(perm).astype(np.int32)
         # ARPACK iterates in RCM order; shift-invert mode applies only OPinv,
         # never the matrix it is handed
         try:
@@ -221,11 +226,10 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
 
     # Round-off on the provably-zero kernel eigenvalue would be amplified by
     # fractional powers later; snap the near-zero part of the spectrum to 0.
-    snap = 1e-12 * max(1.0, float(values[-1]))
-    values = np.where(np.abs(values) <= snap, 0.0, values)
+    values = np.where(np.abs(values) <= tol, 0.0, values)
 
     vectors = _fix_signs(vecs * np.sqrt(n))  # |v|_n = 1
-    if np.count_nonzero(values <= _ZERO_EIGEN_TOL) >= 2:
+    if np.count_nonzero(values == 0.0) >= 2:
         # one kernel dimension per component; the solver returns an
         # arbitrary rotation of it, possibly truncated by m
         basis = _kernel_basis(op.graph, m)
@@ -234,9 +238,9 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
 
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0) / np.sqrt(n)
     worst = float(np.max(residuals))
-    if worst > _RESIDUAL_TOL:
+    if worst > tol:
         raise SolverError(
-            "eigenpair residual %.3e exceeds tolerance %.1e" % (worst, _RESIDUAL_TOL),
+            "eigenpair residual %.3e exceeds tolerance %.1e" % (worst, tol),
             worst_residual=worst,
         )
     return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors, n=n)

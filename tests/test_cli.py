@@ -454,6 +454,19 @@ m = 10
         assert np.all(table[0, 2:] == 1.0)
         np.testing.assert_array_equal(table[1:, 2:], _kernel_basis(graph, 16)[:, 1:].T)
 
+    def test_design_in_small_units_exits_0(self, tmp_path):
+        # at 1e-3 of the default units the eigenvalues grow by 1e9, and so do
+        # the residuals (to about 1e-6) and the solver's tolerance
+        tables = []
+        for i, (high, eps) in enumerate([(5.0, 0.25), (0.005, 0.00025)]):
+            cfg = write(tmp_path / ("e%d.txt" % i), "n = 400\nseed = 4\ndesign.high = %r\n"
+                        "epsilon = %r\nm = 20\n" % (high, eps))
+            out = tmp_path / ("o%d" % i)
+            assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 0
+            tables.append(np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1))
+        np.testing.assert_allclose(tables[1][:, 1] * 1e-9, tables[0][:, 1],
+                                   rtol=0, atol=1e-10 * tables[0][-1, 1])
+
     def test_data_file_input(self, tmp_path):
         x = np.linspace(0, 2, 50)
         SampleSet(x[:, None]).save_csv(tmp_path / "pts.csv")

@@ -302,17 +302,31 @@ class TestGridTunedJob:
         assert isinstance(record, experiments.SweepRecord) and points is None
         assert calls == {"build_graph": 3, "eigensolve": 3}
 
-    # dense, then iterative eigensolve
-    @pytest.mark.parametrize("n, eps_grid", [(60, (0.5, 1.0)), (600, (0.12, 0.25, 0.5))])
-    def test_fit_equals_standalone_fit(self, n, eps_grid):
-        cfg = grid_config(n_grid=(n,), eps_grid=eps_grid, k_grid=(1, 4, 8, 16, 32))
+    # dense, then iterative eigensolve; eps_grid None tunes by the rule, a
+    # one-cell grid search that solves for as many pairs as the standalone fit
+    @pytest.mark.parametrize("n, eps_grid", [(60, (0.5, 1.0)), (600, (0.12, 0.25, 0.5)),
+                                             (60, None), (600, None)])
+    def test_fit_equals_standalone_fit(self, n, eps_grid, monkeypatch):
+        if eps_grid is None:
+            cfg = grid_config(n_grid=(n,), k_grid=None, eps_grid=None,
+                              tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0))
+        else:
+            cfg = grid_config(n_grid=(n,), eps_grid=eps_grid, k_grid=(1, 4, 8, 16, 32))
         samples = generate(cfg, n, 0)
         truth = cfg.truth_function()(samples.points[:, 0])
+        searches = []
+        monkeypatch.setattr(experiments, "grid_search",
+                            lambda *args: searches.append(args) or grid_search(*args))
         res, mse = _fit_once(cfg, samples, truth)
+        assert len(searches) == 1
         alone = fit(samples, res.K, res.epsilon, KERNEL)
         assert (res.K, res.epsilon) == (alone.K, alone.epsilon)
         assert (res.connected, res.component_count) == (alone.connected, alone.component_count)
-        np.testing.assert_allclose(res.fitted, alone.fitted, rtol=0, atol=1e-10)
+        if eps_grid is None:
+            assert (res.K, res.epsilon) == cfg.tuning.resolve(n)
+            np.testing.assert_array_equal(res.fitted, alone.fitted)
+        else:
+            np.testing.assert_allclose(res.fitted, alone.fitted, rtol=0, atol=1e-10)
         assert mse == float(np.mean((res.fitted - truth) ** 2))
 
 

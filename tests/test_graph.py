@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from fracreg.errors import InvalidInputError
 from fracreg.graph import (
@@ -225,3 +226,18 @@ class TestConnectivity:
         g = build_graph(s, 0.5, KernelSpec("indicator"))
         rep = connectivity_check(g)
         assert rep.component_count == 5 and not rep.connected
+
+    @pytest.mark.parametrize("points, eps", [
+        (np.random.default_rng(2).uniform(0, 5, (800, 1)), 0.02),
+        (np.random.default_rng(7).uniform(0, 1, (300, 2)), 0.08),
+        ((np.arange(12)[:, None] + np.random.default_rng(3).uniform(0, 0.3, (12, 10)))
+         .reshape(-1, 1), 0.5),
+    ], ids=["1d", "2d", "twelve_clusters"])
+    def test_labels_partition_like_undirected_components(self, points, eps):
+        # strong components of the symmetric weights, labelled in their own order
+        g = build_graph(SampleSet(points), eps, KernelSpec("truncated_gaussian"))
+        rep = connectivity_check(g)
+        count, labels = csgraph.connected_components(g.weights, directed=False)
+        assert rep.component_count == count > 1
+        pairs = set(zip(rep.labels.tolist(), labels.tolist()))
+        assert len(pairs) == len(set(rep.labels.tolist())) == count

@@ -75,10 +75,12 @@ def affine_instance(n):
 
 
 @pytest.mark.parametrize("n", [400, 2000])  # the dense and the iterative solver
-@pytest.mark.parametrize("scale, shift", [(0.2, 0.0), (3.0, -7.0), (40.0, 100.0)])
+@pytest.mark.parametrize("scale, shift", [(0.2, 0.0), (3.0, -7.0), (40.0, 100.0),
+                                          (1e-3, 0.0), (1e3, -2e3)])
 def test_fit_does_not_depend_on_the_units_of_the_design(n, scale, shift):
     # epsilon scales with the design, so the graph's weights and its
-    # eigenvectors stay put; only the eigenvalues rescale
+    # eigenvectors stay put; only the eigenvalues rescale, by scale^-3, and
+    # the solver's tolerances with them
     x, y, K, epsilon = affine_instance(n)
     base = fit(SampleSet(x[:, None], y), K, epsilon, KERNEL)
     moved = fit(SampleSet((scale * x + shift)[:, None], y), K, scale * epsilon, KERNEL)

@@ -159,7 +159,34 @@ class TestEigensolve:
         monkeypatch.setattr(spectral.spla, "eigsh", stalled)
         with pytest.raises(SolverError) as err:
             eigensolve(op, 8, method="iterative")
-        assert err.value.worst_residual < spectral._RESIDUAL_TOL
+        assert err.value.worst_residual < spectral._REL_TOL * 2.0 * op.matrix.diagonal().max()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_residual_tolerance_scales_with_the_operator(self, scale, monkeypatch):
+        # at scale 1e3 the eigenvalues shrink by 1e-9, so an absolute
+        # tolerance would pass an eigenvector off by 1e-6 of its norm
+        x = np.random.default_rng(21).uniform(0.0, 5.0, 300) * scale
+        op = laplacian(build_graph(SampleSet(x[:, None]), 0.25 * scale,
+                                   KernelSpec("truncated_gaussian")))
+        eigensolve(op, 10, "dense")
+        real_eigh = np.linalg.eigh
+
+        def perturbed(a):
+            values, vectors = real_eigh(a)
+            vectors[:, 1] += 1e-6 * np.random.default_rng(22).standard_normal(op.n) / np.sqrt(op.n)
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(SolverError, match="eigenpair residual"):
+            eigensolve(op, 10, "dense")
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_graph_without_edges_has_only_zero_eigenvalues(self, method):
+        # L = 0: the tolerance, relative to |L|, must not shrink to 0
+        op = laplacian(build_graph(SampleSet(np.arange(500.0)[:, None]), 0.5,
+                                   KernelSpec("indicator")))
+        eig = eigensolve(op, 5, method)
+        assert np.all(eig.values == 0.0)
 
     def test_sign_convention(self):
         op = random_geometric_operator(7)
