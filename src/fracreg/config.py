@@ -18,6 +18,7 @@ quote rather than write one that reads back changed.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from fracreg.errors import ConfigError
@@ -216,13 +217,19 @@ class ConfigView:
             self._fail(key, "%r must be at most %d" % (key, maximum))
         return self._record(key, val)
 
+    def _finite(self, key, values):
+        """values, failing on inf, nan or an integer beyond the float range."""
+        if not all(abs(v) <= sys.float_info.max for v in values):
+            self._fail(key, "%r must be finite" % key)
+        return values
+
     def get_float(self, key, default=None, required=False, gt=None, ge=None):
         val = self._value(key, default, required)
         if val is None:
             return None
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self._fail(key, "%r must be a number" % key)
-        val = float(val)
+        val = float(self._finite(key, [val])[0])
         if gt is not None and not val > gt:
             self._fail(key, "%r must be greater than %s" % (key, gt))
         if ge is not None and not val >= ge:
@@ -234,7 +241,7 @@ class ConfigView:
         val = self._value(key, default, required)
         if val is None:
             return None
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0.0 < float(val) < 1.0:
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0.0 < val < 1.0:
             self._fail(key, "%r must lie in (0,1)" % key)
         return self._record(key, float(val))
 
@@ -244,12 +251,9 @@ class ConfigView:
             return None
         if not isinstance(val, (list, tuple)):
             self._fail(key, "%r must be a list" % key)
-        out = []
-        for v in val:
-            if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
-                self._fail(key, "%r must be a list of integers" % key)
-            out.append(kind(v))
-        return self._record(key, out)
+        if kind is int and any(isinstance(v, bool) or not isinstance(v, int) for v in val):
+            self._fail(key, "%r must be a list of integers" % key)
+        return self._record(key, [kind(v) for v in self._finite(key, val)])
 
     def reject_unknown(self):
         unknown = [k for k in self.entries if k not in self.effective]

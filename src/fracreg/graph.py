@@ -63,6 +63,8 @@ class SampleSet:
                 raise InvalidInputError(
                     "responses must be a vector of length n=%d" % pts.shape[0]
                 )
+            if not np.all(np.isfinite(resp)):
+                raise InvalidInputError("responses must be finite")
             object.__setattr__(self, "responses", resp)
 
     @property
@@ -200,7 +202,7 @@ class NeighborGraph:
 
 
 def brute_force_pairs(points: np.ndarray, epsilon: float):
-    """All (i, j), i < j, with distance at most epsilon, by an O(n^2) scan."""
+    """All (i, j), i < j, with distance at most epsilon, in row-major order, by an O(n^2) scan."""
     n = points.shape[0]
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
@@ -210,12 +212,15 @@ def brute_force_pairs(points: np.ndarray, epsilon: float):
 
 
 def _indexed_pairs(points: np.ndarray, epsilon: float):
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(epsilon, output_type="ndarray")
-    if pairs.size == 0:
-        return (np.empty(0, dtype=int),) * 2 + (np.empty(0),)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.sqrt(np.sum((points[i] - points[j]) ** 2, axis=1))
+    """The pairs of brute_force_pairs, in its row-major order, from a kd-tree."""
+    n = points.shape[0]
+    pairs = cKDTree(points).query_pairs(epsilon, output_type="ndarray")
+    key = pairs[:, 0] * n + pairs[:, 1]
+    del pairs
+    key.sort()  # i * n + j: one sort of flat keys, none per row later
+    i = key // n
+    j = key - i * n
+    dist = np.sqrt(np.sum((points.take(i, axis=0) - points.take(j, axis=0)) ** 2, axis=1))
     return i, j, dist
 
 
@@ -225,8 +230,8 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
     An edge (i, j), i != j, carries weight eta(|X_i - X_j| / epsilon) exactly
     when that value is positive (after the storage floor).
     """
-    if not epsilon > 0:
-        raise InvalidInputError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InvalidInputError("epsilon must be positive and finite")
     pts = samples.points
     n = samples.n
     if n <= BRUTE_FORCE_LIMIT:
@@ -236,9 +241,9 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
     w = np.asarray(kernel(dist / epsilon), dtype=float).ravel()
     keep = w > WEIGHT_FLOOR
     i, j, w = i[keep], j[keep], w[keep]
-    # each pair stored once and mirrored by the transpose: the sum is
-    # canonical CSR with no duplicate-summing sort
-    upper = sparse.csr_matrix((w, (i, j)), shape=(n, n))
+    # row-major pairs make the upper triangle CSR as it stands; the transpose mirrors it
+    indptr = np.searchsorted(i, np.arange(n + 1))
+    upper = sparse.csr_matrix((w, j, indptr), shape=(n, n))
     weights = upper + upper.T
     degree = np.asarray(weights.sum(axis=1)).ravel()
     return NeighborGraph(n=n, epsilon=float(epsilon), weights=weights, degree=degree, points=pts)

@@ -32,6 +32,10 @@ CLAMP_TOL = 1e-10
 # (g is floored at 1e-30, like the shift, for a graph with no edges).
 _REL_TOL = 1e-10
 
+# ARPACK restarts before giving up (scipy: 10 n).  Converged solves took at most 16
+# in the tests and benchmark workloads; a kernel of dimension >= m never converges.
+_MAX_RESTARTS = 200
+
 
 @dataclass(frozen=True)
 class LaplacianOperator:
@@ -203,6 +207,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
         # never the matrix it is handed
         try:
             values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0[perm],
+                                      maxiter=_MAX_RESTARTS,
                                       OPinv=_shift_invert(op.matrix, shift, position))
         except spla.ArpackNoConvergence as exc:
             if op.graph.components.component_count >= m:

@@ -438,7 +438,7 @@ m = 10
 
     def test_kernel_of_dimension_m_or_more_exits_0(self, tmp_path):
         # 32 components at m = 16: ARPACK stalls on the 16-fold zero eigenvalue
-        # (about 5 s), which the components span exactly.  eigen.csv holds the
+        # until its restart cap; the components span it exactly.  eigen.csv holds the
         # iterative eigensolve's pairs to the last bit, so one stall covers both
         # the library and the command.
         cfg = write(tmp_path / "e.txt", "n = 800\nseed = 2\nepsilon = 0.02\nm = 16\n")
@@ -500,6 +500,41 @@ m = 10
         record = cfgmod.parse_text((out / "error.txt").read_text())
         assert "'m' must be at most 20" in record["message"].value
         assert not (out / "config_echo.txt").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("eigen", "n = 500\nseed = 1\nepsilon = inf\nm = 4\n", "epsilon"),
+    ("eigen", "n = 500\nseed = 1\nepsilon = 1%s\nm = 4\n" % ("0" * 400), "epsilon"),
+    ("eigen", "n = 500\nseed = 1\nepsilon = 0.3\nm = 4\nkernel.h = inf\n", "kernel.h"),
+    ("sweep", SWEEP_CONFIG.replace("noise_sd = 1.0", "noise_sd = inf"), "noise_sd"),
+    ("sweep", SWEEP_CONFIG.replace("[0.5, 1.0]", "[inf]"), "grids.eps"),
+    ("sweep", SWEEP_CONFIG.replace("[0.5, 1.0]", "[0.5, nan]"), "grids.eps"),
+], ids=["eigen-inf", "eigen-overflow", "kernel-h-inf", "noise-inf", "eps-grid-inf",
+        "eps-grid-nan"])
+def test_non_finite_number_exits_2_before_the_echo(tmp_path, monkeypatch, command, config, key):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("job run")
+
+    monkeypatch.setattr(experiments, "run_sweep", forbidden)
+    monkeypatch.setattr("fracreg.graph.build_graph", forbidden)
+    cfg = write(tmp_path / "c.txt", config)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out), "--threads", "1") == 2
+    record = cfgmod.parse_text((out / "error.txt").read_text())
+    assert "%r must be finite" % key in record["message"].value
+    assert sorted(os.listdir(out)) == ["error.txt"]
+
+
+@pytest.mark.parametrize("command", ["fit", "eigen"])
+def test_non_finite_response_exits_2(tmp_path, command):
+    (tmp_path / "data.csv").write_text("x1,y\n0.0,1.0\n0.5,nan\n1.0,2.0\n1.5,0.5\n")
+    cfg = write(tmp_path / "c.txt", "data = %s\nepsilon = 0.6\n%s = 2\n"
+                % (tmp_path / "data.csv", "K" if command == "fit" else "m"))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    record = cfgmod.parse_text((out / "error.txt").read_text())
+    assert record["message"].value == "responses must be finite"
+    assert not (out / "fit.csv").exists() and not (out / "eigen.csv").exists()
 
 
 class TestGridsearchCommand:

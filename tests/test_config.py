@@ -93,3 +93,16 @@ def test_view_records_what_it_hands_out_in_read_order():
     assert view.effective == {"a": [1, 2], "c": "x", "b": 2.0}
     assert cfgmod.serialize(view.effective) == "a = [1, 2]\nc = x\nb = 2\n"
 
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1" + "0" * 400])
+def test_view_refuses_numbers_that_are_not_finite(text):
+    view = cfgmod.ConfigView(cfgmod.parse_text("a = %s\nb = [1.5, %s]\nc = [%s]\n"
+                                               % (text, text, text)))
+    with pytest.raises(cfgmod.ConfigError, match="<config>:1: 'a' must be finite"):
+        view.get_float("a")
+    for key in ("b", "c"):
+        with pytest.raises(cfgmod.ConfigError, match="'%s' must be finite" % key):
+            view.get_list(key)
+    with pytest.raises(cfgmod.ConfigError, match="must lie in"):
+        view.get_unit_open("a")
+    assert view.effective == {}

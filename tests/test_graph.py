@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from fracreg.errors import InvalidInputError
 from fracreg.graph import (
@@ -48,6 +50,13 @@ class TestSampleSet:
     def test_response_length_checked(self):
         with pytest.raises(InvalidInputError):
             SampleSet(np.zeros((3, 1)), np.array([1.0, 2.0]))
+
+    def test_non_finite_values_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match="points must be finite"):
+                SampleSet(np.array([[0.0], [bad]]))
+            with pytest.raises(InvalidInputError, match="responses must be finite"):
+                SampleSet(np.array([[0.0], [1.0]]), np.array([1.0, bad]))
 
     def test_1d_input_promoted(self):
         s = SampleSet(np.array([0.0, 1.0, 2.0]))
@@ -140,8 +149,9 @@ class TestBuildGraph:
 
     def test_invalid_epsilon(self):
         s = SampleSet(np.array([[0.0], [1.0]]))
-        with pytest.raises(InvalidInputError):
-            build_graph(s, 0.0, KernelSpec("indicator"))
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidInputError):
+                build_graph(s, eps, KernelSpec("indicator"))
 
     def test_graph_invariants(self):
         rng = np.random.default_rng(7)
@@ -173,12 +183,24 @@ class TestBuildGraph:
         assert graph_edge_set(small) <= graph_edge_set(large)
 
     def test_indexed_matches_scan(self):
+        # the scan's pairs and distances in its row-major order: i n + j increases
         rng = np.random.default_rng(11)
-        for n in (50, 120, 200):
-            pts = rng.uniform(0, 1, (n, 3))
-            i1, j1, _ = brute_force_pairs(pts, 0.35)
-            i2, j2, _ = _indexed_pairs(pts, 0.35)
-            assert set(zip(i1.tolist(), j1.tolist())) == set(zip(i2.tolist(), j2.tolist()))
+        cases = [(rng.uniform(0, 1, (n, 3)), 0.35) for n in (50, 120, 200, 900)]
+        cases += [(rng.uniform(0, 5, (700, 1)), 0.3), (np.arange(600.0)[:, None], 0.5)]
+        for pts, eps in cases:
+            i, j, dist = _indexed_pairs(pts, eps)
+            assert np.all(np.diff(i * len(pts) + j) > 0)
+            for got, want in zip((i, j, dist), brute_force_pairs(pts, eps)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_indexed_pairs_with_keys_beyond_32_bits(self):
+        # n * n >= 2**31: the flat keys i n + j overflow a 32-bit integer
+        pts = np.random.default_rng(19).uniform(0, 1e4, (46341, 1))
+        i, j, dist = _indexed_pairs(pts, 0.05)
+        assert i.dtype == np.int64 and np.all(np.diff(i * len(pts) + j) > 0)
+        expected = cKDTree(pts).query_pairs(0.05)
+        assert len(expected) > 1000 and set(zip(i.tolist(), j.tolist())) == expected
+        np.testing.assert_array_equal(dist, np.abs(pts[i, 0] - pts[j, 0]))
 
     def test_large_n_uses_index_and_matches_scan(self):
         rng = np.random.default_rng(13)
@@ -200,6 +222,34 @@ class TestBuildGraph:
         oracle[i, j] = oracle[j, i] = kernel(dist / eps)
         oracle[oracle <= WEIGHT_FLOOR] = 0.0
         np.testing.assert_array_equal(W.toarray(), oracle)
+
+    @pytest.mark.parametrize("points, eps, kernel", [
+        *[(np.random.default_rng(n).uniform(0, 5, (n, 1)), eps, KernelSpec("truncated_gaussian"))
+          for n in (600, 4000) for eps in (0.12, 0.25, 0.5)],
+        (np.random.default_rng(31).uniform(0, 1, (1500, 2)), 0.06, KernelSpec("triangular")),
+        (np.random.default_rng(2).uniform(0, 5, (800, 1)), 0.02, KernelSpec("truncated_gaussian")),
+        (np.arange(600.0)[:, None], 0.5, KernelSpec("indicator")),
+        (np.random.default_rng(37).uniform(0, 5, (1000, 1)), 0.5,
+         KernelSpec("truncated_gaussian", h=0.05)),
+    ], ids=["600-0.12", "600-0.25", "600-0.5", "4000-0.12", "4000-0.25", "4000-0.5",
+            "2d", "disconnected", "edgeless", "floor_drops_pairs"])
+    def test_indexed_weights_equal_the_coo_oracle_bit_for_bit(self, points, eps, kernel):
+        # the oracle sorts the scan's pairs into CSR through scipy's COO path
+        n = len(points)
+        assert n > BRUTE_FORCE_LIMIT
+        i, j, dist = brute_force_pairs(points, eps)
+        w = kernel(dist / eps)
+        keep = w > WEIGHT_FLOOR
+        upper = sparse.csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
+        oracle = upper + upper.T
+        g = build_graph(SampleSet(points), eps, kernel)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(g.weights, name), getattr(oracle, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(g.degree, np.asarray(oracle.sum(axis=1)).ravel())
+        if kernel.h == 0.05:
+            assert 0 < np.count_nonzero(keep) < keep.size
 
     def test_tiny_weights_dropped(self):
         # shape h = 0.05 makes the weight at distance ~eps around exp(-200)

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import subspace_angles
 from scipy.sparse import csgraph
 
-from fracreg import spectral
+from fracreg import experiments, spectral
 from fracreg.errors import InvalidInputError, SolverError
 from fracreg.graph import KernelSpec, SampleSet, build_graph, kernel_moments
 from fracreg.spectral import (
@@ -263,6 +263,31 @@ class TestEigensolve:
             which = np.repeat([2, 1, 0], 8)[perm]  # c, b, a -> order a, b, c
             assert np.all(v[which == 0, 1] > 0) and np.all(v[which != 0, 1] < 0)
             assert np.all(np.abs(v[which == 0, 2]) < 1e-12) and np.all(v[which == 1, 2] > 0)
+
+    def test_kernel_of_dimension_m_or_more_stops_within_the_restart_budget(self, monkeypatch):
+        # 32 components at m = 16: ARPACK cannot resolve the 16-fold zero
+        # eigenvalue, so the solve runs until the restart cap, then falls back
+        calls = []
+        real = spectral.linalg.get_lapack_funcs
+
+        def counted(names, arrays):
+            pbtrf, pbtrs = real(names, arrays)
+
+            def counting_pbtrs(*args, **kwargs):
+                calls.append(1)
+                return pbtrs(*args, **kwargs)
+            return pbtrf, counting_pbtrs
+
+        monkeypatch.setattr(spectral.linalg, "get_lapack_funcs", counted)
+        x = experiments.draw_design(2, 800, 0, 0.0, 5.0)
+        graph = build_graph(SampleSet(x[:, None]), 0.02, KernelSpec("truncated_gaussian"))
+        m, ncv = 16, 33  # scipy's ncv = 2 m + 1
+        eig = eigensolve(laplacian(graph), m)
+        assert graph.components.component_count == 32
+        # each restart applies the operator at most ncv - m times
+        assert 0 < len(calls) <= ncv + spectral._MAX_RESTARTS * (ncv - m)
+        assert np.all(eig.values == 0.0) and np.all(eig.vectors[:, 0] == 1.0)
+        np.testing.assert_array_equal(eig.vectors[:, 1:], spectral._kernel_basis(graph, m)[:, 1:])
 
     def test_components_within_m_fill_the_kernel(self):
         # 12 components, m = 20: 12 kernel vectors, then the smallest positive pairs
