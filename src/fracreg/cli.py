@@ -131,7 +131,7 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
     seed = view.get_int("seed", default=0, minimum=0)
     noise_sd = view.get_float("noise_sd", default=1.0, ge=0.0)
     low = view.get_float("design.low", default=0.0)
-    high = view.get_float("design.high", default=5.0)
+    high = view.get_float("design.high", default=5.0, gt=low)
     kernel = _kernel_from_view(view)
     tuning = _tuning_from_view(view)
     default_grids = tuning is None and not (view.has("grids.k") or view.has("grids.eps"))
@@ -331,7 +331,7 @@ def _cmd_eigen(args, out_dir, view):
         n = view.get_int("n", required=True, minimum=2)
         seed = view.get_int("seed", required=True, minimum=0)
         low = view.get_float("design.low", default=0.0)
-        high = view.get_float("design.high", default=5.0)
+        high = view.get_float("design.high", default=5.0, gt=low)
     kernel = _kernel_from_view(view)
     tuning = _tuning_from_view(view)
     epsilon = view.get_float("epsilon", required=True, gt=0.0) if tuning is None else None
@@ -399,6 +399,8 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
+        with contextlib.suppress(FileNotFoundError):  # left by an earlier failed run
+            os.remove(os.path.join(out_dir, "error.txt"))
         view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
         if args.command in _SOLVER_COMMANDS:
             # Outputs must not depend on the BLAS thread count.  The import

@@ -47,6 +47,11 @@ _OPENBLAS_THREAD_SYMBOLS = (
 # disconnected in more than this fraction of repetitions.
 _DISCONNECT_EXCLUSION = 0.10
 
+# eigenvalue_growth_diagnostic's growth-regime end, as a fraction of the eps^-2
+# cap, and the factor off the median ratio that counts as a window violation.
+_CAP_FRACTION = 0.1
+_SANDWICH = 10.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -55,7 +60,8 @@ class ExperimentConfig:
     Tuning is either the closed-form rule or explicit (k_grid, eps_grid)
     searched against the truth; exactly one of the two must be given.
     theory_s optionally supplies the smoothness order used for the reported
-    theoretical slope when tuning is grid-based.
+    theoretical slope when tuning is grid-based.  search_grid(n) is what a
+    sweep job at n searches; the constructor resolves it for every n.
     """
 
     truth: str
@@ -95,10 +101,13 @@ class ExperimentConfig:
             raise InvalidInputError("give either a tuning rule or explicit grids, not both")
         if has_grids and (not self.k_grid or not self.eps_grid):
             raise InvalidInputError("grid tuning needs both k_grid and eps_grid")
-        if self.k_grid is not None:
+        if has_grids:
             object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
-        if self.eps_grid is not None:
             object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+            if min(self.k_grid) < 0 or min(self.eps_grid) <= 0.0:
+                raise InvalidInputError("k_grid entries must be >= 0 and eps_grid entries > 0")
+        if has_rule and self.theory_s is not None:
+            raise InvalidInputError("theory_s is for grid tuning: a tuning rule reports its own s")
         if self.theory_s is not None and not 0.0 < self.theory_s < 1.0:
             raise InvalidInputError("theory_s must lie in (0, 1)")
         a, b = zoo_function(self.truth).domain  # unknown truth name fails here
@@ -109,6 +118,17 @@ class ExperimentConfig:
                 "design interval [%.17g, %.17g] is not inside the domain (%.17g, %.17g) "
                 "of truth %s" % (self.design_low, self.design_high, a, b, self.truth)
             )
+        for n in self.n_grid:  # an empty rule window raises TuningError here
+            if not self.search_grid(n)[0]:
+                raise InvalidInputError("k_grid has no entry at most n = %d" % n)
+
+    def search_grid(self, n: int) -> tuple:
+        """(K grid, epsilon grid) of a sweep job at n: the rule's one cell, or
+        the k_grid entries up to n against every eps_grid bandwidth."""
+        if self.tuning is not None:
+            K, eps = self.tuning.resolve(n)
+            return [K], [eps]
+        return [k for k in self.k_grid if k <= n], list(self.eps_grid)
 
     def truth_function(self) -> TestFunction:
         return zoo_function(self.truth)
@@ -208,38 +228,24 @@ class ExperimentReport:
                   ((f.n, f.rep, f.message) for f in self.failures), "dds")
 
 
-def _fit_once(config: ExperimentConfig, samples: SampleSet, truth_values: np.ndarray):
-    """Tune and fit by one grid search; returns (fit result, mse).
-
-    The rule's (K, epsilon) is a one-cell grid, so both tunings run one
-    eigensolve per bandwidth, score with the same expression, and none of
-    them warns about a disconnected graph: the record carries it.
-    """
-    if config.tuning is None:
-        k_grid, eps_grid = [k for k in config.k_grid if k <= samples.n], config.eps_grid
-    else:
-        K, eps = config.tuning.resolve(samples.n)
-        k_grid, eps_grid = [K], [eps]
-    search = grid_search(samples, k_grid, eps_grid, config.kernel, truth_values)
-    return search.best_fit, search.best_mse
-
-
-def _sweep_job(config: ExperimentConfig, n: int, rep: int, keep_fit: bool = False):
-    """One (n, rep) cell: (SweepRecord or SweepFailure, curve points), where with
-    keep_fit the curve points are the design, truth and fitted values of the
-    stream that succeeded, first or retry; without it, and on failure, None."""
+def _sweep_job(config: ExperimentConfig, n: int, rep: int):
+    """One (n, rep) cell, one grid search over config.search_grid(n): returns
+    (SweepRecord, (design, truth, fitted values)) of the stream that succeeded,
+    first or retry, or (SweepFailure, None).  No job warns about a disconnected
+    graph: the record carries it."""
     f = config.truth_function()
     for rep_index in (rep, rep + _RETRY_OFFSET):  # one redraw, then record the failure
         try:
             samples = generate(config, n, rep_index)
             truth_values = f(samples.points[:, 0])
-            res, mse = _fit_once(config, samples, truth_values)
+            search = grid_search(samples, *config.search_grid(n), config.kernel, truth_values)
         except _RETRYABLE as exc:
             error = exc
             continue
-        record = SweepRecord(n=n, rep=rep, K=res.K, epsilon=res.epsilon, mse=mse,
+        res = search.best_fit
+        record = SweepRecord(n=n, rep=rep, K=res.K, epsilon=res.epsilon, mse=search.best_mse,
                              connected=res.connected)
-        return record, (samples.points[:, 0], truth_values, res.fitted) if keep_fit else None
+        return record, (samples.points[:, 0], truth_values, res.fitted)
     return SweepFailure(n=n, rep=rep, message="%s: %s" % (type(error).__name__, error)), None
 
 
@@ -330,8 +336,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
         if curve_n not in config.n_grid or grid.size < 1:
             raise InvalidInputError("a curve needs an n of n_grid and a non-empty grid")
         sums = np.zeros((3, grid.size))  # fitted values, truth, design points
-    jobs = [(config, n, rep, n == curve_n)
-            for n in reversed(config.n_grid) for rep in range(config.repetitions)]
+    jobs = [(config, n, rep) for n in reversed(config.n_grid) for rep in range(config.repetitions)]
     outcomes = []
     with _one_blas_thread(), contextlib.ExitStack() as stack:
         workers = min(threads, len(jobs))  # a fork pool starts every worker at once
@@ -343,7 +348,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
             results = itertools.starmap(_sweep_job, jobs)
         for outcome, points in results:  # in job order: the curve sums add up by rep
             outcomes.append(outcome)
-            if points is not None:
+            if outcome.n == curve_n and points is not None:
                 x, truth_values, fitted = points
                 bucket = _nearest(grid, x)
                 for row, values in zip(sums, (fitted, truth_values, 1)):
@@ -407,30 +412,22 @@ class GrowthDiagnostic:
     epsilon: float
 
 
-def eigenvalue_growth_diagnostic(
-    config: ExperimentConfig,
-    n: int,
-    m: int,
-    cap_fraction: float = 0.1,
-    sandwich_factor: float = 10.0,
-) -> GrowthDiagnostic:
+def eigenvalue_growth_diagnostic(config: ExperimentConfig, n: int, m: int) -> GrowthDiagnostic:
     """Fit log lambda_k ~ log k over the growth regime of one generated design.
 
-    The growth (pre-cap) regime is taken as the eigenvalues below
-    cap_fraction * eps^-2; beyond the cap the spectrum plateaus at a constant
-    times eps^-2, which is reported as cap_constant = max lambda * eps^2.
-    window_violations is the fraction of k whose ratio against
-    min(k^(2/d), eps^-2) leaves a fixed multiplicative sandwich around the
-    median ratio.
+    The bandwidth is the middle one of the sweep's search at n, which under
+    a rule is the rule's one epsilon.  The growth (pre-cap) regime is taken
+    as the eigenvalues below _CAP_FRACTION * eps^-2; beyond the cap
+    the spectrum plateaus at a constant times eps^-2, which is reported as
+    cap_constant = max lambda * eps^2.  window_violations is the fraction of
+    k whose ratio against min(k^(2/d), eps^-2) is more than _SANDWICH
+    times off the median ratio.
     """
     if m > n:
         raise InvalidInputError("m must not exceed n")
     samples = generate(config, n, 0)
-    if config.tuning is not None:
-        _, eps = config.tuning.resolve(n)
-    else:
-        grid = sorted(config.eps_grid)
-        eps = grid[len(grid) // 2]
+    grid = sorted(config.search_grid(n)[1])
+    eps = grid[len(grid) // 2]
     graph = build_graph(samples, eps, config.kernel)
     op = laplacian(graph)
     eig = eigensolve(op, m)
@@ -441,7 +438,7 @@ def eigenvalue_growth_diagnostic(
     ks = np.arange(2, m + 1)
     lam_k = lam[1:m]
     usable = lam_k > 1e-12
-    in_window = usable & (lam_k < cap_fraction * cap)
+    in_window = usable & (lam_k < _CAP_FRACTION * cap)
     if int(np.sum(in_window)) < 3:
         return GrowthDiagnostic(
             exponent=math.nan, window=(), window_violations=math.nan,
@@ -451,7 +448,7 @@ def eigenvalue_growth_diagnostic(
     slope, _ = _ols_slope(np.log(ks[in_window].astype(float)), np.log(lam_k[in_window]))
     ratios = lam_k[usable] / np.minimum(ks[usable] ** (2.0 / d), cap)
     center = float(np.median(ratios))
-    violations = float(np.mean((ratios < center / sandwich_factor) | (ratios > center * sandwich_factor)))
+    violations = float(np.mean((ratios < center / _SANDWICH) | (ratios > center * _SANDWICH)))
     return GrowthDiagnostic(
         exponent=slope,
         window=(int(ks[in_window][0]), int(ks[in_window][-1])),

@@ -211,9 +211,9 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
                                       OPinv=_shift_invert(op.matrix, shift, position))
         except spla.ArpackNoConvergence as exc:
             if op.graph.components.component_count >= m:
-                # a kernel of dimension >= m: the m smallest eigenvalues are all
-                # 0, a cluster ARPACK need not resolve, spanned by the components
-                values, vecs = np.zeros(m), _kernel_basis(op.graph, m) / np.sqrt(n)
+                # a kernel of dimension >= m: m zero eigenvalues ARPACK need not
+                # resolve; the kernel block below fills the vectors from the components
+                values, vecs = np.zeros(m), np.zeros((n, m))
             else:
                 worst = None
                 if exc.eigenvalues is not None and len(exc.eigenvalues):

@@ -173,23 +173,46 @@ class TestSweepCommand:
         assert "kind = input" in record and "domain" in record
         assert not os.path.exists(os.path.join(out, "records.csv"))
 
-    def test_zero_records_exits_solver(self, tmp_path):
-        # an empty bandwidth window fails every repetition
-        cfg = write(tmp_path / "rule.txt", """\
-truth = f2
-n_grid = [40, 60]
-repetitions = 1
-tuning.s = 0.45
-tuning.M = 1.0
-tuning.c0 = 100.0
-tuning.C0 = 0.0001
-""")
+    def test_zero_records_exits_solver(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise SolverError("no convergence", worst_residual=1.0)
+
+        monkeypatch.setattr(experiments, "grid_search", failing)
+        cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG.replace("repetitions = 2",
+                                                                "repetitions = 1"))
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 4
         record = open(os.path.join(out, "error.txt")).read()
         assert "code = 4" in record and "no records" in record
         failures = open(os.path.join(out, "failures.csv")).read().splitlines()
-        assert len(failures) == 3 and "TuningError" in failures[1]
+        assert failures == ["n,rep,error", "40,0,SolverError: no convergence",
+                            "60,0,SolverError: no convergence"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("config, code, words", [
+        (SWEEP_CONFIG.replace("n_grid = [40, 60]", "n_grid = [10, 20]")
+         .replace("[1, 4, 8, 16]", "[64]"), 2, "n = 10"),
+        ("truth = f2\nn_grid = [100, 200]\nrepetitions = 1\ntuning.s = 0.45\n"
+         "tuning.M = 1.0\ntuning.c0 = 50.0\n", 3, "empty bandwidth window"),
+        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[0.0]"), 2, "eps_grid"),
+        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[-0.5, 0.5]"), 2, "eps_grid"),
+        (SWEEP_CONFIG.replace("[1, 4, 8, 16]", "[-1, 4]"), 2, "k_grid"),
+        ("truth = f2\nn_grid = [100, 200]\nrepetitions = 1\ntuning.s = 0.45\n"
+         "tuning.M = 1.0\ntuning.c0 = 5.0\ntuning.C0 = 5.0\ntheory_s = 0.2\n", 2, "theory_s"),
+    ], ids=["no-k-at-n", "empty-window", "eps-zero", "eps-negative", "k-negative",
+            "theory-s-with-rule"])
+    def test_bad_search_grid_fails_before_any_draw(self, tmp_path, monkeypatch,
+                                                   config, code, words, threads):
+        def forbidden(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "generate", forbidden)
+        cfg = write(tmp_path / "sweep.txt", config)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", threads) == code
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert record["code"].value == code and words in record["message"].value
+        assert sorted(os.listdir(out)) == ["error.txt"]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "bad.txt", SWEEP_CONFIG + "bogus_key = 1\n")
@@ -203,8 +226,7 @@ tuning.C0 = 0.0001
         assert "unknown key 'design.dim'" in (out / "error.txt").read_text()
 
     def test_tuning_error_exit_code(self, tmp_path):
-        # tuning failures inside a sweep become recorded failures, so drive
-        # an empty window through eigen where the error surfaces directly
+        # an empty window through eigen, where the rule resolves at the design's n
         cfg = write(tmp_path / "e.txt", """\
 n = 60
 seed = 3
@@ -389,6 +411,14 @@ class TestArguments:
         assert self.exit_code(command, "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_a_run_removes_the_error_record_of_an_earlier_one(self, tmp_path):
+        cfg = write(tmp_path / "e.txt", "n = 50\nepsilon = 0.5\nm = 4\n")
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2  # no seed
+        assert (out / "error.txt").exists()
+        assert run_cli("eigen", "--config", cfg, "--out", str(out), "--seed", "1") == 0
+        assert sorted(os.listdir(out)) == ["config_echo.txt", "eigen.csv"]
+
     def test_unknown_command(self, tmp_path):
         cfg = write(tmp_path / "sem.txt", self.SEMINORM)
         assert self.exit_code("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
@@ -492,6 +522,16 @@ m = 10
         record = cfgmod.parse_text((out / "error.txt").read_text())
         assert "'m' must be at most 10" in record["message"].value
         assert not (out / "config_echo.txt").exists()
+
+    @pytest.mark.parametrize("high", [0.0, 5.0], ids=["reversed", "one-point"])
+    def test_design_interval_must_be_non_empty(self, tmp_path, high):
+        cfg = write(tmp_path / "e.txt", "n = 50\nseed = 1\nepsilon = 0.5\n"
+                    "design.low = 5\ndesign.high = %r\n" % high)
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert "'design.high' must be greater than 5.0" in record["message"].value
+        assert sorted(os.listdir(out)) == ["error.txt"]
 
     def test_m_above_n_fails_before_the_echo(self, tmp_path):
         cfg = write(tmp_path / "e.txt", "n = 20\nseed = 8\nepsilon = 0.5\nm = 21\n")
@@ -605,7 +645,7 @@ def test_readme_config_blocks_are_read_by_sweep(tmp_path):
     blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
     assert len(blocks) == 2
     without_grids = "".join(line + "\n" for line in blocks[0].splitlines()
-                    if not line.startswith("grids."))
+                    if not line.startswith(("grids.", "theory_s")))
     for i, config in enumerate([blocks[0], without_grids + blocks[1]]):
         out = tmp_path / str(i)
         assert run_cli("sweep", "--config", write(tmp_path / ("%d.txt" % i), config),

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from fracreg import cli, estimator, experiments
-from fracreg.errors import InvalidInputError, SolverError
+from fracreg.errors import InvalidInputError, SolverError, TuningError
 from fracreg.estimator import TuningRule, fit, grid_search
 from fracreg.experiments import (
     ExperimentConfig,
-    _fit_once,
     _sweep_job,
     eigenvalue_growth_diagnostic,
     generate,
@@ -67,6 +66,48 @@ class TestConfigValidation:
     def test_design_may_share_domain_endpoints(self):
         cfg = grid_config(truth="f1", design_low=-1.0, design_high=1.0)
         assert (cfg.design_low, cfg.design_high) == (-1.0, 1.0)
+
+    def test_theory_s_only_with_grids(self):
+        # a rule reports its own s, so a second one would be echoed and ignored
+        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0)
+        with pytest.raises(InvalidInputError, match="theory_s"):
+            grid_config(k_grid=None, eps_grid=None, tuning=rule, theory_s=0.2)
+        assert grid_config(theory_s=0.2).theory_s == 0.2
+
+
+class TestSearchGrid:
+    def test_grid_tuning_keeps_the_k_entries_up_to_n(self):
+        cfg = grid_config(n_grid=(8, 40), k_grid=(1, 4, 8, 16, 64), eps_grid=(1.0, 0.5))
+        assert cfg.search_grid(8) == ([1, 4, 8], [1.0, 0.5])
+        assert cfg.search_grid(40) == ([1, 4, 8, 16], [1.0, 0.5])
+
+    def test_rule_tuning_is_its_one_cell(self):
+        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0)
+        cfg = grid_config(n_grid=(100, 200), k_grid=None, eps_grid=None, tuning=rule)
+        for n in (100, 200):
+            K, eps = rule.resolve(n)
+            assert cfg.search_grid(n) == ([K], [eps])
+
+    def test_k_grid_without_an_entry_at_some_n_rejected(self):
+        with pytest.raises(InvalidInputError, match="n = 10"):
+            grid_config(n_grid=(10, 20), k_grid=(16, 64))
+        with pytest.raises(InvalidInputError, match="n = 10"):
+            grid_config(n_grid=(10, 20), k_grid=(64,))
+
+    @pytest.mark.parametrize("grids", [dict(eps_grid=(0.0,)), dict(eps_grid=(-0.5, 0.5)),
+                                       dict(k_grid=(-1, 4))])
+    def test_negative_k_or_nonpositive_eps_rejected(self, grids):
+        with pytest.raises(InvalidInputError, match="k_grid entries"):
+            grid_config(**grids)
+
+    def test_k_zero_is_a_grid_entry(self):
+        assert grid_config(k_grid=(0, 4)).search_grid(40)[0] == [0, 4]
+
+    def test_empty_rule_window_rejected(self):
+        # the window is empty at every n, so the first n of the grid fails
+        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=50.0, C0=1.0)
+        with pytest.raises(TuningError, match="empty bandwidth window"):
+            grid_config(n_grid=(100, 200), k_grid=None, eps_grid=None, tuning=rule)
 
 
 class TestGenerate:
@@ -141,7 +182,7 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 chunks.append(chunksize)
                 jobs = list(zip(*iterables))
-                submitted.extend((n, rep) for _, n, rep, _ in jobs)
+                submitted.extend((n, rep) for _, n, rep in jobs)
                 return [fn(*job) for job in jobs]
 
         cfg = grid_config(n_grid=(40,), repetitions=2)
@@ -166,13 +207,13 @@ class TestRunSweep:
         handles = experiments._openblas_handles()
         before = [get_threads() for _, get_threads in handles]
         seen = []
-        real_fit_once = experiments._fit_once
+        real_grid_search = experiments.grid_search
 
-        def spying(config, samples, truth_values):
+        def spying(*args):
             seen.append([get_threads() for _, get_threads in handles])
-            return real_fit_once(config, samples, truth_values)
+            return real_grid_search(*args)
 
-        monkeypatch.setattr(experiments, "_fit_once", spying)
+        monkeypatch.setattr(experiments, "grid_search", spying)
         run_sweep(grid_config())
         assert seen and all(counts == [1] * len(handles) for counts in seen)
         assert [get_threads() for _, get_threads in handles] == before
@@ -198,17 +239,17 @@ class TestRunSweep:
         assert report.excluded_n == (40,)
         assert math.isfinite(report.fitted_slope)
 
-    def test_failures_recorded_and_excluded(self):
-        # an empty tuning window fails every repetition deterministically
-        cfg = ExperimentConfig(
-            truth="f2", n_grid=(40, 60), repetitions=2, seed=9, kernel=KERNEL,
-            tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=100.0, C0=1e-4),
-        )
-        report = run_sweep(cfg)
+    def test_failures_recorded_and_excluded(self, monkeypatch):
+        def failing(*args):
+            raise SolverError("no convergence", worst_residual=1.0)
+
+        monkeypatch.setattr(experiments, "grid_search", failing)
+        report = run_sweep(grid_config())
         assert len(report.records) == 0
         assert len(report.failures) == 4
+        assert report.n_values == () and report.mean_mse_per_n == ()
         assert math.isnan(report.fitted_slope)
-        assert "TuningError" in report.failures[0].message
+        assert report.failures[0].message == "SolverError: no convergence"
 
     def test_noiseless_mse_equals_bias(self):
         from fracreg.estimator import bias_variance_decompose, fit
@@ -252,28 +293,28 @@ class TestRunSweep:
 
 class TestRetry:
     def test_coding_error_propagates(self, monkeypatch):
-        def broken(config, samples, truth_values):
+        def broken(*args):
             raise TypeError("a bug, not bad luck")
 
-        monkeypatch.setattr(experiments, "_fit_once", broken)
+        monkeypatch.setattr(experiments, "grid_search", broken)
         with pytest.raises(TypeError, match="a bug"):
             run_sweep(grid_config())
 
     def test_solver_error_recorded_after_retry_stream(self, monkeypatch, tmp_path):
         drawn = []
-        real_generate, real_fit_once = experiments.generate, experiments._fit_once
+        real_generate, real_grid_search = experiments.generate, experiments.grid_search
 
         def recording_generate(config, n, rep_index):
             drawn.append((n, rep_index))
             return real_generate(config, n, rep_index)
 
-        def failing_for_40_0(config, samples, truth_values):
+        def failing_for_40_0(samples, *args):
             if samples.n == 40 and drawn[-1][1] in (0, experiments._RETRY_OFFSET):
                 raise SolverError("no convergence", worst_residual=1.0)
-            return real_fit_once(config, samples, truth_values)
+            return real_grid_search(samples, *args)
 
         monkeypatch.setattr(experiments, "generate", recording_generate)
-        monkeypatch.setattr(experiments, "_fit_once", failing_for_40_0)
+        monkeypatch.setattr(experiments, "grid_search", failing_for_40_0)
         report = run_sweep(grid_config())
         assert (40, experiments._RETRY_OFFSET) in drawn
         assert len(report.records) == 3
@@ -299,7 +340,7 @@ class TestGridTunedJob:
             monkeypatch.setattr(estimator, name, counting(name))
         cfg = grid_config(eps_grid=(0.5, 0.8, 1.0))
         record, points = _sweep_job(cfg, 60, 0)
-        assert isinstance(record, experiments.SweepRecord) and points is None
+        assert isinstance(record, experiments.SweepRecord) and len(points[0]) == 60
         assert calls == {"build_graph": 3, "eigensolve": 3}
 
     # dense, then iterative eigensolve; eps_grid None tunes by the rule, a
@@ -316,9 +357,14 @@ class TestGridTunedJob:
         truth = cfg.truth_function()(samples.points[:, 0])
         searches = []
         monkeypatch.setattr(experiments, "grid_search",
-                            lambda *args: searches.append(args) or grid_search(*args))
-        res, mse = _fit_once(cfg, samples, truth)
+                            lambda *args: searches.append(grid_search(*args)) or searches[-1])
+        record, (x, job_truth, fitted) = _sweep_job(cfg, n, 0)
         assert len(searches) == 1
+        res, mse = searches[0].best_fit, record.mse
+        assert (record.K, record.epsilon, record.connected) == (res.K, res.epsilon, res.connected)
+        np.testing.assert_array_equal(x, samples.points[:, 0])
+        np.testing.assert_array_equal(job_truth, truth)
+        np.testing.assert_array_equal(fitted, res.fitted)
         alone = fit(samples, res.K, res.epsilon, KERNEL)
         assert (res.K, res.epsilon) == (alone.K, alone.epsilon)
         assert (res.connected, res.component_count) == (alone.connected, alone.component_count)
@@ -353,6 +399,12 @@ class TestGrowthDiagnostic:
         with pytest.raises(InvalidInputError):
             eigenvalue_growth_diagnostic(self._config(), 100, 200)
 
+    def test_bandwidth_is_the_middle_of_the_search(self):
+        assert eigenvalue_growth_diagnostic(self._config(), 300, 4).epsilon == \
+            self._config().tuning.resolve(300)[1]
+        cfg = grid_config(n_grid=(300,), eps_grid=(1.0, 0.25, 0.5, 2.0))
+        assert eigenvalue_growth_diagnostic(cfg, 300, 4).epsilon == 1.0
+
 
 def refit_curve(config, n, grid, streams=None):
     """The curve as a second pass of fits, one per repetition at n, as an oracle.
@@ -369,7 +421,8 @@ def refit_curve(config, n, grid, streams=None):
         x = samples.points[:, 0]
         truth_values = f(x)
         with experiments._one_blas_thread():
-            res, _ = _fit_once(config, samples, truth_values)
+            res = grid_search(samples, *config.search_grid(n), config.kernel,
+                              truth_values).best_fit
         idx = np.clip(np.searchsorted(grid, x), 0, grid.size - 1)
         left = np.clip(idx - 1, 0, grid.size - 1)
         nearer_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)
@@ -389,22 +442,22 @@ def fail_on_streams(monkeypatch, *streams):
     """Make the sweep's fits raise a SolverError on the given (n, rep_index) streams.
 
     Returns the list of streams the sweep draws.  refit_curve calls the real
-    generate and _fit_once, imported above.
+    generate and grid_search, imported above.
     """
     drawn = []
-    real_generate, real_fit_once = experiments.generate, experiments._fit_once
+    real_generate, real_grid_search = experiments.generate, experiments.grid_search
 
     def recording_generate(config, n, rep_index):
         drawn.append((n, rep_index))
         return real_generate(config, n, rep_index)
 
-    def failing(config, samples, truth_values):
+    def failing(*args):
         if drawn[-1] in streams:
             raise SolverError("no convergence", worst_residual=1.0)
-        return real_fit_once(config, samples, truth_values)
+        return real_grid_search(*args)
 
     monkeypatch.setattr(experiments, "generate", recording_generate)
-    monkeypatch.setattr(experiments, "_fit_once", failing)
+    monkeypatch.setattr(experiments, "grid_search", failing)
     return drawn
 
 
@@ -429,7 +482,7 @@ def curve_bytes(curve, path):
 class TestMeanFitCurve:
     def test_noiseless_full_rank_matches_truth(self):
         cfg = grid_config(noise_sd=0.0, k_grid=(60,), eps_grid=(1.0,),
-                          n_grid=(40, 60), repetitions=3)
+                          n_grid=(60,), repetitions=3)
         grid = np.linspace(0.2, 4.8, 12)
         curve = mean_fit_curve(cfg, 60, grid)
         mt = np.asarray(curve.mean_truth)
