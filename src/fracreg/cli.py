@@ -147,8 +147,9 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
         kernel=kernel,
         tuning=tuning,
         k_grid=view.get_list("grids.k", default=DEFAULT_K_GRID if default_grids else None,
-                             kind=int),
-        eps_grid=view.get_list("grids.eps", default=DEFAULT_EPS_GRID if default_grids else None),
+                             kind=int, ge=0),
+        eps_grid=view.get_list("grids.eps", default=DEFAULT_EPS_GRID if default_grids else None,
+                               gt=0.0),
         theory_s=view.get_unit_open("theory_s"),
     )
 
@@ -370,6 +371,18 @@ _HANDLERS = {
 }
 
 
+# What each command writes beside config_echo.txt (and error.txt on failure).
+# A run first removes all of them, so a failed run leaves none of an earlier one's.
+_ARTIFACTS = {
+    "fit": ("fit.csv",),
+    "sweep": ("records.csv", "summary.csv", "failures.csv", "curve.csv"),
+    "seminorm": ("seminorm.csv",),
+    "eigen": ("eigen.csv",),
+    "gridsearch": ("surface.csv", "best.txt"),
+    "zoo": tuple("%s.txt" % name for name in sobolev.zoo()),
+}
+
+
 def _error_record(out_dir, code, kind, message):
     try:
         with open(os.path.join(out_dir, "error.txt"), "w") as fh:
@@ -399,8 +412,9 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        with contextlib.suppress(FileNotFoundError):  # left by an earlier failed run
-            os.remove(os.path.join(out_dir, "error.txt"))
+        for name in ("config_echo.txt", "error.txt") + _ARTIFACTS[args.command]:
+            with contextlib.suppress(FileNotFoundError):  # left by an earlier run
+                os.remove(os.path.join(out_dir, name))
         view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
         if args.command in _SOLVER_COMMANDS:
             # Outputs must not depend on the BLAS thread count.  The import

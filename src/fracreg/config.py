@@ -245,7 +245,7 @@ class ConfigView:
             self._fail(key, "%r must lie in (0,1)" % key)
         return self._record(key, float(val))
 
-    def get_list(self, key, default=None, required=False, kind=float):
+    def get_list(self, key, default=None, required=False, kind=float, gt=None, ge=None):
         val = self._value(key, default, required)
         if val is None:
             return None
@@ -253,7 +253,12 @@ class ConfigView:
             self._fail(key, "%r must be a list" % key)
         if kind is int and any(isinstance(v, bool) or not isinstance(v, int) for v in val):
             self._fail(key, "%r must be a list of integers" % key)
-        return self._record(key, [kind(v) for v in self._finite(key, val)])
+        val = [kind(v) for v in self._finite(key, val)]
+        if gt is not None and not all(v > gt for v in val):
+            self._fail(key, "%r entries must be greater than %s" % (key, gt))
+        if ge is not None and not all(v >= ge for v in val):
+            self._fail(key, "%r entries must be at least %s" % (key, ge))
+        return self._record(key, val)
 
     def reject_unknown(self):
         unknown = [k for k in self.entries if k not in self.effective]

@@ -32,9 +32,15 @@ CLAMP_TOL = 1e-10
 # (g is floored at 1e-30, like the shift, for a graph with no edges).
 _REL_TOL = 1e-10
 
-# ARPACK restarts before giving up (scipy: 10 n).  Converged solves took at most 16
-# in the tests and benchmark workloads; a kernel of dimension >= m never converges.
+# ARPACK restarts before giving up (scipy: 10 n).  Converged solves took at most 18
+# in the tests and at the benchmark workloads' sizes; a kernel of dimension >= m may
+# not converge.
 _MAX_RESTARTS = 200
+
+
+def _lanczos_basis_size(n: int, m: int) -> int:
+    """ARPACK's ncv: 1.5 m Lanczos vectors (scipy: 2 m + 1), at least 20, so ncv > m."""
+    return min(n, max(m + m // 2, 20))
 
 
 @dataclass(frozen=True)
@@ -180,9 +186,10 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     a banded Cholesky factor above), or "dense" / "iterative" to force a
     path.  The iterative path cannot produce a complete basis, so m >= n - 1
     falls back to dense.  The first vector is the constant.  When the
-    computed spectrum holds two or more zero eigenvalues, the kernel part of
-    the basis is replaced by the canonical one built from the graph's
-    components (_kernel_basis), so fits do not depend on sample order.
+    computed spectrum holds two or more zero eigenvalues, the pairs are the
+    canonical kernel basis built from the graph's components (_kernel_basis,
+    min(components, m) vectors), then the smallest positive pairs computed,
+    so fits do not depend on sample order.
     Raises SolverError, with the worst residual, on non-convergence or above _REL_TOL g.
     """
     n = op.n
@@ -204,9 +211,12 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
         perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
         position = np.argsort(perm).astype(np.int32)
         # ARPACK iterates in RCM order; shift-invert mode applies only OPinv,
-        # never the matrix it is handed
+        # never the matrix it is handed.  Its tol stops it once |(L - shift)^-1 x - theta x|
+        # <= tol |theta|, which gives |L x - lambda x| <= (g + |shift|) tol (ARPACK
+        # Users' Guide), so tol = _REL_TOL / 10 meets the residual gate below 10 times over.
         try:
             values, vecs = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0[perm],
+                                      ncv=_lanczos_basis_size(n, m), tol=_REL_TOL / 10,
                                       maxiter=_MAX_RESTARTS,
                                       OPinv=_shift_invert(op.matrix, shift, position))
         except spla.ArpackNoConvergence as exc:
@@ -235,10 +245,17 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
 
     vectors = _fix_signs(vecs * np.sqrt(n))  # |v|_n = 1
     if np.count_nonzero(values == 0.0) >= 2:
-        # one kernel dimension per component; the solver returns an
-        # arbitrary rotation of it, possibly truncated by m
+        # one kernel dimension per component; the solver returns an arbitrary
+        # rotation of it, possibly truncated by m, and an ARPACK run that stops
+        # early may return only some copies of 0, then the next positive pairs
         basis = _kernel_basis(op.graph, m)
-        vectors[:, : basis.shape[1]] = basis
+        k = basis.shape[1]
+        positive = np.flatnonzero(values > 0.0)[: m - k]
+        if positive.size < m - k:
+            raise SolverError("eigensolver returned %d positive pairs beside a kernel of "
+                              "dimension %d; %d needed" % (positive.size, k, m - k))
+        values = np.concatenate([np.zeros(k), values[positive]])
+        vectors = np.column_stack([basis, vectors[:, positive]])
     vectors[:, 0] = 1.0
 
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0) / np.sqrt(n)

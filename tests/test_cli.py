@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import fracreg
 from fracreg import cli
 from fracreg import config as cfgmod
-from fracreg import experiments
+from fracreg import experiments, spectral
 from fracreg.errors import SolverError
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import zoo
@@ -194,9 +195,12 @@ class TestSweepCommand:
          .replace("[1, 4, 8, 16]", "[64]"), 2, "n = 10"),
         ("truth = f2\nn_grid = [100, 200]\nrepetitions = 1\ntuning.s = 0.45\n"
          "tuning.M = 1.0\ntuning.c0 = 50.0\n", 3, "empty bandwidth window"),
-        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[0.0]"), 2, "eps_grid"),
-        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[-0.5, 0.5]"), 2, "eps_grid"),
-        (SWEEP_CONFIG.replace("[1, 4, 8, 16]", "[-1, 4]"), 2, "k_grid"),
+        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[0.0]"), 2,
+         "sweep.txt:7: 'grids.eps' entries must be greater than 0"),
+        (SWEEP_CONFIG.replace("[0.5, 1.0]", "[-0.5, 0.5]"), 2,
+         "sweep.txt:7: 'grids.eps' entries must be greater than 0"),
+        (SWEEP_CONFIG.replace("[1, 4, 8, 16]", "[-1, 4]"), 2,
+         "sweep.txt:6: 'grids.k' entries must be at least 0"),
         ("truth = f2\nn_grid = [100, 200]\nrepetitions = 1\ntuning.s = 0.45\n"
          "tuning.M = 1.0\ntuning.c0 = 5.0\ntuning.C0 = 5.0\ntheory_s = 0.2\n", 2, "theory_s"),
     ], ids=["no-k-at-n", "empty-window", "eps-zero", "eps-negative", "k-negative",
@@ -418,6 +422,9 @@ class TestArguments:
         assert (out / "error.txt").exists()
         assert run_cli("eigen", "--config", cfg, "--out", str(out), "--seed", "1") == 0
         assert sorted(os.listdir(out)) == ["config_echo.txt", "eigen.csv"]
+        # and a failed run removes the artifacts of a successful one
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 2
+        assert os.listdir(out) == ["error.txt"]
 
     def test_unknown_command(self, tmp_path):
         cfg = write(tmp_path / "sem.txt", self.SEMINORM)
@@ -466,11 +473,10 @@ m = 10
         first = lines[1].split(",")
         assert float(first[1]) <= 1e-8
 
-    def test_kernel_of_dimension_m_or_more_exits_0(self, tmp_path):
-        # 32 components at m = 16: ARPACK stalls on the 16-fold zero eigenvalue
-        # until its restart cap; the components span it exactly.  eigen.csv holds the
-        # iterative eigensolve's pairs to the last bit, so one stall covers both
-        # the library and the command.
+    def test_kernel_of_dimension_m_or_more_exits_0(self, tmp_path, monkeypatch):
+        # 32 components at m = 16: the components span the 16-fold zero
+        # eigenvalue exactly, so eigen.csv is the same bits whether ARPACK
+        # resolves it or stalls until its restart cap
         cfg = write(tmp_path / "e.txt", "n = 800\nseed = 2\nepsilon = 0.02\nm = 16\n")
         out = tmp_path / "o"
         assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 0
@@ -483,6 +489,29 @@ m = 10
         np.testing.assert_allclose(table[:, 2:], dense.vectors.T, rtol=0, atol=1e-12)
         assert np.all(table[0, 2:] == 1.0)
         np.testing.assert_array_equal(table[1:, 2:], _kernel_basis(graph, 16)[:, 1:].T)
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        assert run_cli("eigen", "--config", cfg, "--out", str(tmp_path / "stalled")) == 0
+        stalled_table = (tmp_path / "stalled" / "eigen.csv").read_bytes()
+        assert stalled_table == (out / "eigen.csv").read_bytes()
+
+    def test_kernel_of_dimension_below_m_exits_0(self, tmp_path):
+        # 13 components at m = 16: the kernel basis, then the 3 smallest
+        # positive pairs, however many copies of 0 ARPACK returned
+        cfg = write(tmp_path / "e.txt", "n = 1150\nseed = 29\nepsilon = 0.0198\nm = 16\n")
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 0
+        values = np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1)[:, 1]
+        x = experiments.draw_design(29, 1150, 0, 0.0, 5.0)
+        op = laplacian(build_graph(SampleSet(x[:, None]), 0.0198,
+                                   KernelSpec("truncated_gaussian")))
+        assert op.graph.components.component_count == 13
+        assert np.count_nonzero(values == 0.0) == 13
+        dense = np.linalg.eigvalsh(op.dense())[:16]
+        assert np.max(np.abs(values - dense)) <= 1e-10 * 2.0 * op.matrix.diagonal().max()
 
     def test_design_in_small_units_exits_0(self, tmp_path):
         # at 1e-3 of the default units the eigenvalues grow by 1e9, and so do
@@ -593,6 +622,20 @@ grids.eps = [0.5, 1.0]
         assert len(surface) == 1 + 6
         best = cfgmod.parse_text(open(os.path.join(out, "best.txt")).read())
         assert best["best_K"].value in (1, 4, 16)
+
+
+    @pytest.mark.parametrize("grid, words", [
+        ("grids.k = [-1, 4]\ngrids.eps = [0.5]\n",
+         "g.txt:3: 'grids.k' entries must be at least 0"),
+        ("grids.k = [1, 4]\ngrids.eps = [0.5, 0.0]\n",
+         "g.txt:4: 'grids.eps' entries must be greater than 0"),
+    ], ids=["k-negative", "eps-zero"])
+    def test_bad_grid_names_its_key_and_line(self, tmp_path, grid, words):
+        cfg = write(tmp_path / "g.txt", "truth = f2\nn = 60\n" + grid)
+        out = tmp_path / "o"
+        assert run_cli("gridsearch", "--config", cfg, "--out", str(out)) == 2
+        assert words in cfgmod.parse_text((out / "error.txt").read_text())["message"].value
+        assert os.listdir(out) == ["error.txt"]
 
 
 class TestZooCommand:

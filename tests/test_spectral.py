@@ -265,8 +265,8 @@ class TestEigensolve:
             assert np.all(np.abs(v[which == 0, 2]) < 1e-12) and np.all(v[which == 1, 2] > 0)
 
     def test_kernel_of_dimension_m_or_more_stops_within_the_restart_budget(self, monkeypatch):
-        # 32 components at m = 16: ARPACK cannot resolve the 16-fold zero
-        # eigenvalue, so the solve runs until the restart cap, then falls back
+        # 32 components at m = 16: a 16-fold zero eigenvalue, which ARPACK
+        # resolves before its restart cap or leaves to the fallback below
         calls = []
         real = spectral.linalg.get_lapack_funcs
 
@@ -285,14 +285,65 @@ class TestEigensolve:
                             lambda *args: bases.append(1) or real_basis(*args))
         x = experiments.draw_design(2, 800, 0, 0.0, 5.0)
         graph = build_graph(SampleSet(x[:, None]), 0.02, KernelSpec("truncated_gaussian"))
-        m, ncv = 16, 33  # scipy's ncv = 2 m + 1
+        m = 16
+        ncv = spectral._lanczos_basis_size(graph.n, m)
         eig = eigensolve(laplacian(graph), m)
         assert graph.components.component_count == 32
         # each restart applies the operator at most ncv - m times
         assert 0 < len(calls) <= ncv + spectral._MAX_RESTARTS * (ncv - m)
-        assert len(bases) == 1  # the fallback leaves the vectors to the kernel block
+        assert len(bases) == 1
         assert np.all(eig.values == 0.0) and np.all(eig.vectors[:, 0] == 1.0)
         np.testing.assert_array_equal(eig.vectors[:, 1:], real_basis(graph, m)[:, 1:])
+
+    def test_stalled_kernel_of_dimension_m_or_more_falls_back_to_the_components(
+            self, monkeypatch):
+        # ARPACK gives up on a kernel of dimension >= m: the components span it exactly
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", None, None)
+
+        bases = []
+        real_basis = spectral._kernel_basis
+        monkeypatch.setattr(spectral, "_kernel_basis",
+                            lambda *args: bases.append(1) or real_basis(*args))
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        x = experiments.draw_design(2, 800, 0, 0.0, 5.0)
+        graph = build_graph(SampleSet(x[:, None]), 0.02, KernelSpec("truncated_gaussian"))
+        eig = eigensolve(laplacian(graph), 16)
+        assert len(bases) == 1  # the fallback leaves the vectors to the kernel block
+        assert np.all(eig.values == 0.0) and np.all(eig.vectors[:, 0] == 1.0)
+        np.testing.assert_array_equal(eig.vectors[:, 1:], real_basis(graph, 16)[:, 1:])
+
+    def test_too_few_positive_pairs_beside_the_kernel_is_a_solver_error(self, monkeypatch):
+        # 12 components at m = 20 leave 8 places for positive pairs; one pair
+        # of the 8 comes back negative, which no PSD Laplacian has
+        op = twelve_clusters()
+        values, vectors = np.linalg.eigh(op.dense())
+        values[12] = -values[12]
+        perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
+        monkeypatch.setattr(spectral.spla, "eigsh",
+                            lambda A, k, **kwargs: (values[:k], vectors[perm, :k]))
+        with pytest.raises(SolverError, match="7 positive pairs beside a kernel of dimension 12"):
+            eigensolve(op, 20, method="iterative")
+
+    # (n, seed, epsilon) of uniform designs on [0, 5] whose graphs have 2 to
+    # 122 components; 1150/29 and 529/380424 failed the residual gate when the
+    # kernel vectors took over the pairs ARPACK returned in their places
+    DISCONNECTED = [(1000, 5, 0.03), (900, 2, 0.03), (600, 1, 0.04), (1150, 29, 0.0198),
+                    (1200, 3, 0.0183), (900, 2, 0.02), (700, 4, 0.021), (800, 6, 0.02),
+                    (529, 380424, 0.023122809970077998), (1100, 7, 0.014), (1200, 8, 0.0095)]
+
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("n, seed, eps", DISCONNECTED)
+    def test_iterative_matches_dense_oracle_on_disconnected_graphs(self, n, seed, eps, m):
+        x = experiments.draw_design(seed, n, 0, 0.0, 5.0)
+        op = laplacian(build_graph(SampleSet(x[:, None]), eps, KernelSpec("truncated_gaussian")))
+        components = op.graph.components.component_count
+        g = 2.0 * op.matrix.diagonal().max()
+        eig = eigensolve(op, m)
+        assert components >= 2 and n > spectral.DENSE_LIMIT
+        assert np.count_nonzero(eig.values == 0.0) == min(components, m)
+        dense = np.linalg.eigvalsh(op.dense())[:m]
+        assert np.max(np.abs(eig.values - dense)) <= spectral._REL_TOL * g
 
     def test_components_within_m_fill_the_kernel(self):
         # 12 components, m = 20: 12 kernel vectors, then the smallest positive pairs
