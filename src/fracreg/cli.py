@@ -254,17 +254,16 @@ def _cmd_gridsearch(args, out_dir, view):
     n = config.n_grid[0]
     samples = generate(config, n, 0)
     truth_values = config.truth_function()(samples.points[:, 0])
-    result = grid_search(samples, list(config.k_grid), list(config.eps_grid),
-                         config.kernel, truth_values)
+    result = grid_search(samples, *config.search_grid(n), config.kernel, truth_values)
     result.save_csv(os.path.join(out_dir, "surface.csv"))
     with open(os.path.join(out_dir, "best.txt"), "w") as fh:
         fh.write(cfg.serialize({
-            "best_K": result.best_K,
-            "best_epsilon": result.best_epsilon,
+            "best_K": result.best_fit.K,
+            "best_epsilon": result.best_fit.epsilon,
             "best_mse": result.best_mse,
         }))
     print("gridsearch: best K=%d epsilon=%.6g mse=%.6g"
-          % (result.best_K, result.best_epsilon, result.best_mse))
+          % (result.best_fit.K, result.best_fit.epsilon, result.best_mse))
 
 
 def _cmd_fit(args, out_dir, view):
@@ -289,8 +288,8 @@ def _cmd_fit(args, out_dir, view):
     if meta_M is not None:
         metadata["M"] = meta_M
     result.save_csv(os.path.join(out_dir, "fit.csv"), samples, metadata)
-    print("fit: n=%d K=%d epsilon=%.6g connected=%s"
-          % (samples.n, K, epsilon, result.connected))
+    print("fit: n=%d K=%d epsilon=%.6g connected=%s components=%d"
+          % (samples.n, K, epsilon, result.connected, result.component_count))
 
 
 def _cmd_seminorm(args, out_dir, view):

@@ -8,7 +8,6 @@ closed-form tuning rule or from a grid search against a known truth.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,6 @@ from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, TuningError
 from fracreg.graph import ConnectivityReport, KernelSpec, SampleSet, build_graph
 from fracreg.spectral import EigenSystem, eigensolve, laplacian
-
-
-class DisconnectedGraphWarning(UserWarning):
-    """The graph at the requested bandwidth is disconnected.
-
-    Fits still proceed: extra zero eigenvalues only enlarge the constant-like
-    span.  The bandwidth lower bound makes connectivity probable, not certain.
-    """
 
 
 @dataclass(frozen=True)
@@ -48,9 +39,21 @@ class TuningRule:
             raise InvalidInputError("window constants c0, C0 must be positive")
 
     def resolve(self, n: int):
-        """(K, epsilon) for n samples: choose_K, then choose_epsilon at that K."""
+        """(K, epsilon) for n samples: K = choose_K, and epsilon the geometric
+        midpoint of [c0 (log n / n)^(1/d), C0 K^(-1/d)].
+
+        Raises TuningError when the window is empty.
+        """
         K = choose_K(self, n)
-        return K, choose_epsilon(self, n, K)
+        if n < 2:
+            raise InvalidInputError("n must be at least 2")
+        lo = self.c0 * (math.log(n) / n) ** (1.0 / self.dim)
+        hi = self.C0 * K ** (-1.0 / self.dim)
+        if lo > hi:
+            raise TuningError(
+                "empty bandwidth window [%.6g, %.6g]: increase C0 or decrease c0" % (lo, hi)
+            )
+        return K, math.sqrt(lo * hi)
 
 
 def _snap_floor(x: float, rel: float = 1e-9) -> int:
@@ -70,32 +73,16 @@ def choose_K(rule: TuningRule, n: int) -> int:
     return min(max(_snap_floor(x), 1), n)
 
 
-def choose_epsilon(rule: TuningRule, n: int, K: int) -> float:
-    """Geometric midpoint of [c0 (log n / n)^(1/d), C0 K^(-1/d)].
-
-    Raises TuningError when the window is empty.
-    """
-    if n < 2:
-        raise InvalidInputError("n must be at least 2")
-    if K < 1:
-        raise InvalidInputError("K must be at least 1")
-    lo = rule.c0 * (math.log(n) / n) ** (1.0 / rule.dim)
-    hi = rule.C0 * K ** (-1.0 / rule.dim)
-    if lo > hi:
-        raise TuningError(
-            "empty bandwidth window [%.6g, %.6g]: increase C0 or decrease c0" % (lo, hi)
-        )
-    return math.sqrt(lo * hi)
-
-
 @dataclass(frozen=True)
 class RegressionFit:
-    """In-sample fit: fitted values, chosen K and bandwidth, diagnostics."""
+    """In-sample fit: fitted values, chosen K and bandwidth, diagnostics.
+
+    The projection coefficients are eig.coefficients(y)[:K].
+    """
 
     fitted: np.ndarray
     K: int
     epsilon: float
-    projections: np.ndarray
     eig: EigenSystem
     connected: bool
     component_count: int
@@ -118,7 +105,8 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
     """Project the responses onto the first K eigenvectors at bandwidth epsilon.
 
     K = 0 yields the zero fit; K = n reproduces the responses exactly.
-    Connectivity is reported (a warning on disconnection), never required.
+    Connectivity is reported (connected, component_count), never required:
+    extra zero eigenvalues only enlarge the constant-like span.
     """
     if samples.responses is None:
         raise InvalidInputError("samples must carry responses")
@@ -126,25 +114,17 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
     if not 0 <= K <= n:
         raise InvalidInputError("K must lie in [0, n]")
     graph = build_graph(samples, epsilon, kernel)
-    report = graph.components
-    if not report.connected:
-        warnings.warn(
-            "graph at epsilon=%.6g has %d components" % (epsilon, report.component_count),
-            DisconnectedGraphWarning,
-            stacklevel=2,
-        )
     eig = eigensolve(laplacian(graph), max(K, 1))
-    fits, coef = eig.partial_fits(samples.responses, [K])
-    return _regression_fit(eig, fits[0], coef, K, epsilon, report)
+    fitted = eig.partial_fits(samples.responses, [K])[0]
+    return _regression_fit(eig, fitted, K, epsilon, graph.components)
 
 
-def _regression_fit(eig: EigenSystem, fitted: np.ndarray, coef: np.ndarray, K: int,
-                    epsilon: float, report: ConnectivityReport) -> RegressionFit:
+def _regression_fit(eig: EigenSystem, fitted: np.ndarray, K: int, epsilon: float,
+                    report: ConnectivityReport) -> RegressionFit:
     return RegressionFit(
         fitted=fitted,
         K=K,
         epsilon=float(epsilon),
-        projections=coef[:K],
         eig=eig,
         connected=report.connected,
         component_count=report.component_count,
@@ -158,14 +138,6 @@ class GridSearchResult:
     K_grid: tuple
     eps_grid: tuple
     mse_surface: np.ndarray  # shape (len(K_grid), len(eps_grid))
-
-    @property
-    def best_K(self) -> int:
-        return self.best_fit.K
-
-    @property
-    def best_epsilon(self) -> float:
-        return self.best_fit.epsilon
 
     def save_csv(self, path):
         rows = ([K, eps, self.mse_surface[i, j]]
@@ -186,7 +158,7 @@ def grid_search(
     EigenSystem.partial_fits.  Ties break toward smaller K, then smaller
     epsilon.  best_fit holds the winning bandwidth's eigensystem and the very
     row that scored best_mse, so fitting at the optimum needs no further
-    solve; a disconnected winner is reported on the fit, not warned about.
+    solve; its connectivity is on the fit (best_fit.connected).
     """
     K_grid = [int(k) for k in K_grid]
     eps_grid = [float(e) for e in eps_grid]
@@ -200,24 +172,23 @@ def grid_search(
     if min(K_grid) < 0 or max(K_grid) > samples.n:
         raise InvalidInputError("K grid entries must lie in [0, n]")
 
-    n = samples.n
     y = samples.responses
     mmax = max(max(K_grid), 1)
     surface = np.empty((len(K_grid), len(eps_grid)))
     best = None
     for j, eps in enumerate(eps_grid):
         graph = build_graph(samples, eps, kernel)
-        eig = eigensolve(laplacian(graph), min(mmax, n))
-        fits, coef = eig.partial_fits(y, K_grid)
+        eig = eigensolve(laplacian(graph), mmax)
+        fits = eig.partial_fits(y, K_grid)
         surface[:, j] = np.mean((fits - truth) ** 2, axis=1)
         for K, mse, fitted in zip(K_grid, surface[:, j].tolist(), fits):
             key = (mse, K, eps)
             if best is None or key < best:
-                best, winner = key, (graph, eig, fitted, coef)
-    best_mse, best_K, best_eps = best
-    graph, eig, fitted, coef = winner
+                best, winner = key, (graph, eig, fitted)
+    best_mse, K_best, eps_best = best
+    graph, eig, fitted = winner
     return GridSearchResult(
-        best_fit=_regression_fit(eig, fitted, coef, best_K, best_eps, graph.components),
+        best_fit=_regression_fit(eig, fitted, K_best, eps_best, graph.components),
         best_mse=best_mse,
         K_grid=tuple(K_grid),
         eps_grid=tuple(eps_grid),
@@ -242,7 +213,7 @@ def bias_variance_decompose(fit_result: RegressionFit, truth: np.ndarray) -> Bia
     eig = fit_result.eig
     if truth.shape != (eig.n,):
         raise InvalidInputError("truth must have length n=%d" % eig.n)
-    proj_truth = eig.partial_fits(truth, [fit_result.K])[0][0]
+    proj_truth = eig.partial_fits(truth, [fit_result.K])[0]
     bias_sq = float(np.mean((truth - proj_truth) ** 2))
     variance_proxy = float(np.mean((fit_result.fitted - proj_truth) ** 2))
     return BiasVariance(bias_sq=bias_sq, variance_proxy=variance_proxy)

@@ -254,15 +254,10 @@ def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> Semi
     seq = 2.0 * np.add.reduceat(terms * weights[lag], offsets)
     cells = (N - 1) * (N - 2)  # included ordered cell pairs at the finest level
 
-    inc = np.diff(seq)
+    inc = np.diff(seq)  # refinement >= 7: at least 4 sums, 3 increments
     tiny = 1e-14 * max(1.0, float(seq[-1]))
-    diverged = False
-    if len(inc) >= 3:
-        last = inc[-3:]
-        if np.all(last > tiny) and last[1] > last[0] and last[2] > last[1]:
-            diverged = True
-
-    if diverged:
+    last = inc[-3:]
+    if np.all(last > tiny) and last[1] > last[0] and last[2] > last[1]:
         return SeminormResult(
             value=math.inf, s=s, quadrature_cells=cells,
             estimated_error=math.inf, diverged=True, refinements=tuple(seq),
@@ -271,16 +266,15 @@ def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> Semi
     # Aitken extrapolation of the tail; falls back to the last sum when the
     # increments have already hit round-off.
     value = float(seq[-1])
-    est = float(abs(inc[-1])) if len(inc) else 0.0
-    if len(seq) >= 3:
-        s0, s1, s2 = seq[-3], seq[-2], seq[-1]
-        denom = (s2 - s1) - (s1 - s0)
-        if abs(denom) > tiny:
-            ratio = (s2 - s1) / (s1 - s0) if abs(s1 - s0) > tiny else 0.0
-            if abs(ratio) < 1.0:
-                extr = float(s2 - (s2 - s1) ** 2 / denom)
-                est = abs(extr - value)
-                value = extr
+    est = float(abs(inc[-1]))
+    s0, s1, s2 = seq[-3], seq[-2], seq[-1]
+    denom = (s2 - s1) - (s1 - s0)
+    if abs(denom) > tiny:
+        ratio = (s2 - s1) / (s1 - s0) if abs(s1 - s0) > tiny else 0.0
+        if abs(ratio) < 1.0:
+            extr = float(s2 - (s2 - s1) ** 2 / denom)
+            est = abs(extr - value)
+            value = extr
     return SeminormResult(
         value=max(value, 0.0), s=s, quadrature_cells=cells,
         estimated_error=est, diverged=False, refinements=tuple(seq),
@@ -291,15 +285,16 @@ def spectral_seminorm(eig: EigenSystem, f_values: np.ndarray, s: float) -> float
     """sum_i lambda_i^s <f, v_i>_n^2 over the computed pairs.
 
     s = 1 is admitted for the cross-check against the edge-sum Dirichlet form.
+    eigensolve returns its near-zero eigenvalues as exact zeros; a negative one
+    is refused.
     """
-    from fracreg.spectral import _clamped  # here: spectral loads scipy, the quadrature needs none
-
     if not 0.0 < s <= 1.0:
         raise InvalidInputError("s must lie in (0, 1]")
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (eig.n,):
         raise InvalidInputError("f_values must have length n=%d" % eig.n)
+    if np.any(eig.values < 0.0):
+        raise InvalidInputError("eigenvalue %.3e is negative" % float(eig.values.min()))
     coef = eig.coefficients(f_values)
-    lam = _clamped(eig.values)
-    return float(np.sum(lam ** s * coef * coef))
+    return float(np.sum(eig.values ** s * coef * coef))
 

@@ -1,4 +1,4 @@
-"""Scaled unnormalized graph Laplacian, its eigensystem, and projections onto it.
+"""Scaled unnormalized graph Laplacian, its eigensystem, and the projection onto it.
 
 The operator is L = (D - W) / (n eps^(d+2)).  Eigenvectors follow the
 empirical normalization: |v|_n = 1, i.e. the plain Euclidean norm is sqrt(n),
@@ -24,10 +24,8 @@ from fracreg.graph import NeighborGraph
 # BLAS thread, dense took 0.93, 1.2 and 1.5 times as long at n = 400, 450, 500.
 DENSE_LIMIT = 400
 
-# Eigenvalues in [-CLAMP_TOL, 0) count as zero in sobolev.spectral_seminorm's powers.
-CLAMP_TOL = 1e-10
-
-# An eigenvalue within _REL_TOL g of 0 is 0 and a residual above it fails, where
+# An eigenvalue within _REL_TOL g of 0 is 0 (the one zero test: no other module
+# re-tests a computed eigenvalue) and a residual above it fails, where
 # g = 2 max diag(L) >= |L|_2, so neither test depends on the design's units
 # (g is floored at 1e-30, like the shift, for a graph with no edges).
 _REL_TOL = 1e-10
@@ -51,20 +49,12 @@ class LaplacianOperator:
     matrix: sparse.csr_matrix
 
     @property
-    def dim(self) -> int:
-        return self.graph.points.shape[1]
-
-    @property
     def n(self) -> int:
         return self.graph.n
 
     @property
-    def epsilon(self) -> float:
-        return self.graph.epsilon
-
-    @property
     def scale(self) -> float:
-        return 1.0 / (self.graph.n * self.graph.epsilon ** (self.dim + 2))
+        return 1.0 / (self.graph.n * self.graph.epsilon ** (self.graph.points.shape[1] + 2))
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -96,8 +86,8 @@ class EigenSystem:
         """Empirical inner products <u, v_i>_n for every computed pair."""
         return self.vectors.T @ np.asarray(u, dtype=float) / self.n
 
-    def partial_fits(self, u: np.ndarray, Ks) -> tuple:
-        """(fits, coefficients): fits[i] projects u onto the first Ks[i] vectors.
+    def partial_fits(self, u: np.ndarray, Ks) -> np.ndarray:
+        """fits[i] projects u onto the first Ks[i] vectors, by coefficients(u).
 
         Every row is the running sum c_1 v_1 + c_2 v_2 + ... in eigen order,
         the floats of numpy's cumulative sum, taken in one pass up to max(Ks)
@@ -112,7 +102,7 @@ class EigenSystem:
         for k in range(Ks.max(initial=0)):
             acc += coef[k] * self.vectors[:, k]
             fits[Ks == k + 1] = acc
-        return fits, coef
+        return fits
 
     def save_csv(self, path):
         """One row per pair: index, eigenvalue, then the n vector entries."""
@@ -190,7 +180,8 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     canonical kernel basis built from the graph's components (_kernel_basis,
     min(components, m) vectors), then the smallest positive pairs computed,
     so fits do not depend on sample order.
-    Raises SolverError, with the worst residual, on non-convergence or above _REL_TOL g.
+    Raises SolverError, with the worst residual, on non-convergence or above _REL_TOL g,
+    and on any other failure of the dense or the ARPACK solver.
     """
     n = op.n
     if not 1 <= m <= n:
@@ -203,7 +194,10 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     diag = op.matrix.diagonal()
     tol = _REL_TOL * (2.0 * float(diag.max()) + 1e-30)
     if method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1)):
-        values, vecs = np.linalg.eigh(op.dense())
+        try:
+            values, vecs = np.linalg.eigh(op.dense())
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("dense eigensolver failed: %s" % exc) from exc
         values, vecs = values[:m], vecs[:, :m]
     else:
         shift = -1e-3 * (float(np.mean(diag)) + 1e-30)
@@ -235,6 +229,8 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
                     "(worst residual %s)" % worst,
                     worst_residual=worst,
                 ) from exc
+        except spla.ArpackError as exc:  # after ArpackNoConvergence, its subclass
+            raise SolverError("ARPACK eigensolver failed: %s" % exc) from exc
         else:
             order = np.argsort(values)
             values, vecs = values[order], vecs[np.ix_(position, order)]
@@ -266,16 +262,6 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
             worst_residual=worst,
         )
     return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors, n=n)
-
-
-def _clamped(values: np.ndarray) -> np.ndarray:
-    lam = np.asarray(values, dtype=float)
-    if np.any(lam < -CLAMP_TOL):
-        raise SolverError(
-            "eigenvalue %.3e below the PSD clamp tolerance" % float(lam.min()),
-            worst_residual=float(-lam.min()),
-        )
-    return np.where(lam < 0.0, 0.0, lam)
 
 
 def dirichlet_form(op: LaplacianOperator, u: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,15 +90,15 @@ class TestSweepCommand:
         echo = os.path.join(out1, "config_echo.txt")
         assert run_cli("sweep", "--config", echo, "--out", out2, "--threads", "2") == 0
         for name in ("records.csv", "summary.csv", "config_echo.txt"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(os.path.join(out1, name)).read_bytes()
+            b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b, "%s differs between a run and its echo re-run" % name
 
     def test_curve_output_when_requested(self, tmp_path):
         cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG + "curve.points = 8\ncurve.n = 60\n")
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 0
-        lines = open(os.path.join(out, "curve.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "curve.csv")).read_text().splitlines()
         assert lines[0] == "x,truth,mean_fit"
         assert len(lines) == 9
 
@@ -132,7 +133,7 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1",
                        "--set", "n_grid = [40, 60]", "--set", "repetitions = 1",
                        "--set", "grids.k = [1, 4]", "--set", "grids.eps = [0.5]") == 0
-        entries = cfgmod.parse_text(open(os.path.join(out, "config_echo.txt")).read())
+        entries = cfgmod.parse_text(Path(os.path.join(out, "config_echo.txt")).read_text())
         values = {k: v.value for k, v in entries.items()}
         assert values["seed"] == 0
         assert values["noise_sd"] == 1.0
@@ -144,7 +145,7 @@ class TestSweepCommand:
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out,
                        "--set", "seed = 77", "--threads", "1") == 0
-        entries = cfgmod.parse_text(open(os.path.join(out, "config_echo.txt")).read())
+        entries = cfgmod.parse_text(Path(os.path.join(out, "config_echo.txt")).read_text())
         assert entries["seed"].value == 77
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -152,7 +153,7 @@ class TestSweepCommand:
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out,
                        "--seed", "123", "--threads", "1") == 0
-        entries = cfgmod.parse_text(open(os.path.join(out, "config_echo.txt")).read())
+        entries = cfgmod.parse_text(Path(os.path.join(out, "config_echo.txt")).read_text())
         assert entries["seed"].value == 123
 
     def test_invalid_s_names_key(self, tmp_path, capsys):
@@ -162,7 +163,7 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", cfg, "--out", out) == 2
         message = capsys.readouterr().err
         assert "theory_s" in message and "(0,1)" in message
-        record = open(os.path.join(out, "error.txt")).read()
+        record = Path(os.path.join(out, "error.txt")).read_text()
         assert "code = 2" in record and "kind = input" in record
 
     def test_design_outside_truth_domain_is_input_error(self, tmp_path):
@@ -170,7 +171,7 @@ class TestSweepCommand:
         cfg = write(tmp_path / "bad.txt", SWEEP_CONFIG.replace("truth = f2", "truth = f1"))
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 2
-        record = open(os.path.join(out, "error.txt")).read()
+        record = Path(os.path.join(out, "error.txt")).read_text()
         assert "kind = input" in record and "domain" in record
         assert not os.path.exists(os.path.join(out, "records.csv"))
 
@@ -183,11 +184,24 @@ class TestSweepCommand:
                                                                 "repetitions = 1"))
         out = str(tmp_path / "o")
         assert run_cli("sweep", "--config", cfg, "--out", out, "--threads", "1") == 4
-        record = open(os.path.join(out, "error.txt")).read()
+        record = Path(os.path.join(out, "error.txt")).read_text()
         assert "code = 4" in record and "no records" in record
-        failures = open(os.path.join(out, "failures.csv")).read().splitlines()
+        failures = Path(os.path.join(out, "failures.csv")).read_text().splitlines()
         assert failures == ["n,rep,error", "40,0,SolverError: no convergence",
                             "60,0,SolverError: no convergence"]
+
+    def test_dense_solver_failures_are_solver_errors(self, tmp_path, monkeypatch):
+        def broken(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)  # n = 40 and 60 solve densely
+        cfg = write(tmp_path / "sweep.txt", SWEEP_CONFIG.replace("repetitions = 2",
+                                                                "repetitions = 1"))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", "1") == 4
+        failures = (out / "failures.csv").read_text().splitlines()
+        message = "SolverError: dense eigensolver failed: Eigenvalues did not converge"
+        assert failures == ["n,rep,error", "40,0," + message, "60,0," + message]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("config, code, words", [
@@ -241,7 +255,7 @@ tuning.C0 = 0.0001
 """)
         out = str(tmp_path / "o")
         assert run_cli("eigen", "--config", cfg, "--out", out) == 3
-        record = open(os.path.join(out, "error.txt")).read()
+        record = Path(os.path.join(out, "error.txt")).read_text()
         assert "kind = tuning" in record
 
     def test_missing_config_is_io_error(self, tmp_path):
@@ -269,12 +283,12 @@ tuning.C0 = 0.0001
 
         monkeypatch.setitem(cli._HANDLERS, "sweep", boom)
         assert run_cli("sweep", "--config", cfg, "--out", out) == 4
-        record = open(os.path.join(out, "error.txt")).read()
+        record = Path(os.path.join(out, "error.txt")).read_text()
         assert "kind = solver" in record
 
 
 class TestFitCommand:
-    def test_fit_csv_written(self, tmp_path):
+    def test_fit_csv_written(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         x = np.sort(rng.uniform(0, 5, 40))
         SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
@@ -287,7 +301,8 @@ meta.M = 1.0
 """ % (tmp_path / "data.csv"))
         out = str(tmp_path / "o")
         assert run_cli("fit", "--config", cfg, "--out", out) == 0
-        lines = open(os.path.join(out, "fit.csv")).read().splitlines()
+        assert capsys.readouterr().out.endswith("connected=True components=1\n")
+        lines = Path(os.path.join(out, "fit.csv")).read_text().splitlines()
         assert lines[0] == "# K = 5"
         assert any(l.startswith("# s = 0.45") for l in lines)
         data_rows = [l for l in lines if not l.startswith("#")]
@@ -302,7 +317,7 @@ meta.M = 1.0
         cfg = write(tmp_path / "fit.txt", 'data = a"#b\nK = 2\nepsilon = 0.8\n')
         out = str(tmp_path / "o")
         assert run_cli("fit", "--config", cfg, "--out", out) == 2
-        assert "kind = input" in open(os.path.join(out, "error.txt")).read()
+        assert "kind = input" in Path(os.path.join(out, "error.txt")).read_text()
         assert not os.path.exists(os.path.join(out, "config_echo.txt"))
 
     def test_fit_needs_responses(self, tmp_path):
@@ -324,7 +339,7 @@ level = 11
 """)
         out = str(tmp_path / "o")
         assert run_cli("seminorm", "--config", cfg, "--out", out) == 0
-        lines = open(os.path.join(out, "seminorm.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "seminorm.csv")).read_text().splitlines()
         rows = [l.split(",") for l in lines[1:]]
         by_s = {float(r[0]): r for r in rows}
         assert by_s[0.25][2] == "false"
@@ -468,7 +483,7 @@ m = 10
 """)
         out = str(tmp_path / "o")
         assert run_cli("eigen", "--config", cfg, "--out", out) == 0
-        lines = open(os.path.join(out, "eigen.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "eigen.csv")).read_text().splitlines()
         assert len(lines) == 11
         first = lines[1].split(",")
         assert float(first[1]) <= 1e-8
@@ -512,6 +527,22 @@ m = 10
         assert np.count_nonzero(values == 0.0) == 13
         dense = np.linalg.eigvalsh(op.dense())[:16]
         assert np.max(np.abs(values - dense)) <= 1e-10 * 2.0 * op.matrix.diagonal().max()
+
+    @pytest.mark.parametrize("n, solver", [(300, "eigh"), (600, "eigsh")])
+    def test_a_failure_inside_the_solver_exits_4(self, tmp_path, monkeypatch, n, solver):
+        # the dense LinAlgError, and an ArpackError other than non-convergence
+        def broken(*args, **kwargs):
+            if solver == "eigh":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(np.linalg if solver == "eigh" else spectral.spla, solver, broken)
+        cfg = write(tmp_path / "e.txt", "n = %d\nseed = 8\nepsilon = 0.4\nm = 10\n" % n)
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 4
+        record = cfgmod.parse_text((out / "error.txt").read_text())
+        assert (record["code"].value, record["kind"].value) == (4, "solver")
+        assert sorted(os.listdir(out)) == ["config_echo.txt", "error.txt"]
 
     def test_design_in_small_units_exits_0(self, tmp_path):
         # at 1e-3 of the default units the eigenvalues grow by 1e9, and so do
@@ -617,12 +648,23 @@ grids.eps = [0.5, 1.0]
 """)
         out = str(tmp_path / "o")
         assert run_cli("gridsearch", "--config", cfg, "--out", out) == 0
-        surface = open(os.path.join(out, "surface.csv")).read().splitlines()
+        surface = Path(os.path.join(out, "surface.csv")).read_text().splitlines()
         assert surface[0] == "K,epsilon,mse"
         assert len(surface) == 1 + 6
-        best = cfgmod.parse_text(open(os.path.join(out, "best.txt")).read())
+        best = cfgmod.parse_text(Path(os.path.join(out, "best.txt")).read_text())
         assert best["best_K"].value in (1, 4, 16)
 
+
+    def test_k_grid_entries_above_n_are_not_searched(self, tmp_path):
+        # as in a sweep job at n = 100: K = 200 is left out of the search
+        surfaces = []
+        for k_grid in ("[1, 4, 200]", "[1, 4]"):
+            cfg = write(tmp_path / "g.txt", "truth = f2\nn = 100\nseed = 4\n"
+                        "grids.k = %s\ngrids.eps = [0.5]\n" % k_grid)
+            out = tmp_path / ("o" + str(len(surfaces)))
+            assert run_cli("gridsearch", "--config", cfg, "--out", str(out)) == 0
+            surfaces.append((out / "surface.csv").read_bytes())
+        assert surfaces[0] == surfaces[1]
 
     @pytest.mark.parametrize("grid, words", [
         ("grids.k = [-1, 4]\ngrids.eps = [0.5]\n",
@@ -643,7 +685,7 @@ class TestZooCommand:
         out = str(tmp_path / "o")
         assert run_cli("zoo", "--out", out) == 0
         for name, fn in zoo().items():
-            text = open(os.path.join(out, "%s.txt" % name)).read()
+            text = Path(os.path.join(out, "%s.txt" % name)).read_text()
             entries = cfgmod.parse_text(text)
             view = cfgmod.ConfigView(entries)
             parsed = cli.function_from_view(view)
@@ -684,7 +726,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 def test_readme_config_blocks_are_read_by_sweep(tmp_path):
-    text = open(README).read()
+    text = Path(README).read_text()
     blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
     assert len(blocks) == 2
     without_grids = "".join(line + "\n" for line in blocks[0].splitlines()
@@ -806,3 +848,12 @@ assert callable(fracreg.fit) and fracreg.graph.build_graph is fracreg.cli.build_
     stages = [line for line in done.stdout.splitlines() if line.endswith(": []")]
     assert stages == ["package: []", "cli: []", "commands: []"], done.stdout
     assert (tmp_path / "s" / "seminorm.csv").exists() and (tmp_path / "z" / "f2.txt").exists()
+
+
+def test_public_names_resolve():
+    # a name left in fracreg's export table or in cli's lazy names after its
+    # definition is gone would fail only on its first read
+    for name in fracreg.__all__:
+        getattr(fracreg, name)
+    for name in cli._SOLVER_NAMES:
+        getattr(cli, name)

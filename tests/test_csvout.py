@@ -56,8 +56,7 @@ def sample_set(responses=True):
 def regression_fit(samples):
     return RegressionFit(
         fitted=np.asarray(EDGE_FLOATS[-5:]), K=np.int64(3), epsilon=np.float64(0.25),
-        projections=np.zeros(3), eig=eigen_system(samples.n), connected=False,
-        component_count=2,
+        eig=eigen_system(samples.n), connected=False, component_count=2,
     )
 
 

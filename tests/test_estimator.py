@@ -7,10 +7,8 @@ import pytest
 from fracreg import graph as graph_module
 from fracreg.errors import InvalidInputError, TuningError
 from fracreg.estimator import (
-    DisconnectedGraphWarning,
     TuningRule,
     bias_variance_decompose,
-    choose_epsilon,
     choose_K,
     fit,
     grid_search,
@@ -86,30 +84,33 @@ class TestTuning:
             rule = TuningRule(s=float(s), M=float(M), dim=d)
             assert choose_K(rule, n) == exact_choose_k(M * M, n, s, d)
 
-    def test_choose_epsilon_midpoint(self):
+    def test_resolve_epsilon_midpoint(self):
         rule = TuningRule(s=0.5, M=1.0, dim=1)
         lo = math.log(1000) / 1000
         hi = 1.0 / 31.0
         expect = math.sqrt(lo * hi)
-        got = choose_epsilon(rule, 1000, 31)
+        K, got = rule.resolve(1000)
+        assert K == 31
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(0.01493, abs=5e-6)
         assert lo <= got <= hi
 
-    def test_choose_epsilon_empty_window(self):
+    def test_resolve_empty_window(self):
         rule = TuningRule(s=0.5, M=1.0, dim=1, c0=100.0, C0=1e-4)
         with pytest.raises(TuningError):
-            choose_epsilon(rule, 1000, 31)
+            rule.resolve(1000)
 
-    def test_resolve_is_choose_k_then_epsilon(self):
+    def test_resolve_is_choose_k_then_the_window_midpoint(self):
         rule = TuningRule(s=0.4, M=1.0, dim=1)
         for n in (50, 100, 1000):
             K = choose_K(rule, n)
-            assert rule.resolve(n) == (K, choose_epsilon(rule, n, K))
+            lo, hi = (math.log(n) / n) ** 1.0, K ** -1.0  # c0 = C0 = 1, d = 1
+            assert rule.resolve(n) == (K, math.sqrt(lo * hi))
 
-    def test_choose_epsilon_k1_upper_bound(self):
-        rule = TuningRule(s=0.5, M=1.0, dim=1, C0=0.9)
-        got = choose_epsilon(rule, 500, 1)
+    def test_resolve_epsilon_k1_upper_bound(self):
+        rule = TuningRule(s=0.5, M=0.01, dim=1, C0=0.9)
+        K, got = rule.resolve(500)
+        assert K == 1
         assert got <= 0.9  # K = 1 gives the loosest upper bound, C0 itself
 
 
@@ -127,9 +128,8 @@ class TestFit:
     def test_k1_is_mean_when_components_outnumber_k(self):
         # 8 components: the solver's one kernel vector need not be the constant
         s = uniform_instance(1, n=40)
-        with pytest.warns(DisconnectedGraphWarning):
-            res = fit(s, 1, 0.2, KERNEL)
-        assert res.component_count == 8
+        res = fit(s, 1, 0.2, KERNEL)
+        assert (res.connected, res.component_count) == (False, 8)
         np.testing.assert_allclose(res.fitted, np.mean(s.responses), rtol=0, atol=1e-12)
 
     def test_fit_does_not_depend_on_sample_order(self):
@@ -140,10 +140,10 @@ class TestFit:
         s = generate(config, 100, 1)
         K, eps = config.tuning.resolve(100)
         perm = np.random.default_rng(7).permutation(100)
-        with pytest.warns(DisconnectedGraphWarning):
-            res = fit(s, K, eps, KERNEL)
-            shuffled = fit(SampleSet(s.points[perm], s.responses[perm]), K, eps, KERNEL)
-        assert (K, res.component_count) == (12, 29)
+        res = fit(s, K, eps, KERNEL)
+        shuffled = fit(SampleSet(s.points[perm], s.responses[perm]), K, eps, KERNEL)
+        assert (K, res.connected, res.component_count) == (12, False, 29)
+        assert (shuffled.connected, shuffled.component_count) == (False, 29)
         unpermuted = np.empty(100)
         unpermuted[perm] = shuffled.fitted
         np.testing.assert_allclose(unpermuted, res.fitted, rtol=0, atol=1e-10)
@@ -162,8 +162,7 @@ class TestFit:
             return real(graph)
 
         monkeypatch.setattr(graph_module, "connectivity_check", counting)
-        with pytest.warns(DisconnectedGraphWarning):
-            assert fit(s, K, eps, KERNEL).component_count == 29
+        assert fit(s, K, eps, KERNEL).component_count == 29
         assert len(calls) == 1
         grid_search(s, [K], [eps], KERNEL, config.truth_function()(s.points[:, 0]))
         assert len(calls) == 2
@@ -172,7 +171,7 @@ class TestFit:
         s = uniform_instance(1)
         res = fit(s, 0, 0.8, KERNEL)
         assert np.all(res.fitted == 0.0)
-        assert res.projections.size == 0
+        assert (res.K, res.eig.m) == (0, 1)  # one pair solved, none of it projected on
 
     def test_k_out_of_range(self):
         s = uniform_instance(2)
@@ -187,7 +186,7 @@ class TestFit:
     def test_fit_reconstruction_invariant(self):
         s = uniform_instance(3)
         res = fit(s, 7, 0.8, KERNEL)
-        rebuilt = res.eig.vectors[:, :7] @ res.projections
+        rebuilt = res.eig.vectors[:, :7] @ res.eig.coefficients(s.responses)[:7]
         assert np.max(np.abs(rebuilt - res.fitted)) <= 1e-10
 
     def test_pythagoras(self):
@@ -219,11 +218,12 @@ class TestFit:
             assert resid <= prev + 1e-10
             prev = resid
 
-    def test_disconnected_warning(self):
+    def test_disconnected_graph_is_reported_on_the_fit(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         s = SampleSet(pts, np.array([1.0, 2.0, 3.0, 4.0]))
-        with pytest.warns(DisconnectedGraphWarning):
-            fit(s, 2, 0.5, KernelSpec("indicator"))
+        res = fit(s, 2, 0.5, KernelSpec("indicator"))
+        assert (res.connected, res.component_count) == (False, 2)
+        assert fit(s, 2, 20.0, KernelSpec("indicator")).connected
 
     def test_save_csv_metadata(self, tmp_path):
         s = uniform_instance(6, n=20)
@@ -242,7 +242,7 @@ class TestGridSearch:
         s = uniform_instance(7, n=40)
         truth = np.sin(s.points[:, 0])
         res = grid_search(s, [5], [0.8], KERNEL, truth)
-        assert res.best_K == 5 and res.best_epsilon == 0.8
+        assert res.best_fit.K == 5 and res.best_fit.epsilon == 0.8
         assert res.mse_surface.shape == (1, 1)
 
     def test_best_fit_basis_starts_with_constant_when_components_outnumber_k(self):
@@ -275,9 +275,10 @@ class TestGridSearch:
         truth = np.sin(s.points[:, 0])
         res = grid_search(s, K_grid, [0.3, 0.6], KERNEL, truth)
         assert res.best_mse == float(np.mean((res.best_fit.fitted - truth) ** 2))
-        again = fit(s, res.best_K, res.best_epsilon, KERNEL)
+        again = fit(s, res.best_fit.K, res.best_fit.epsilon, KERNEL)
         np.testing.assert_array_equal(again.fitted, res.best_fit.fitted)
-        np.testing.assert_array_equal(again.projections, res.best_fit.projections)
+        np.testing.assert_array_equal(again.eig.coefficients(s.responses)[:again.K],
+                                      res.best_fit.eig.coefficients(s.responses)[:res.best_fit.K])
 
     def test_noiseless_full_rank_wins(self):
         rng = np.random.default_rng(8)
@@ -285,7 +286,7 @@ class TestGridSearch:
         truth = np.cos(x)
         s = SampleSet(x[:, None], truth)
         res = grid_search(s, [1, 10, 50], [0.8, 1.2], KERNEL, truth)
-        assert res.best_K == 50
+        assert res.best_fit.K == 50
         assert res.best_mse <= 1e-20
 
     def test_tie_breaks_toward_smaller_K_then_eps(self):
@@ -296,8 +297,8 @@ class TestGridSearch:
         truth = np.sin(x)
         res = grid_search(s, [3, 1, 2], [0.9, 0.5], KERNEL, truth)
         assert np.all(res.mse_surface == res.mse_surface[0, 0])
-        assert res.best_K == 1
-        assert res.best_epsilon == 0.5
+        assert res.best_fit.K == 1
+        assert res.best_fit.epsilon == 0.5
 
     def test_surface_follows_grid_order(self):
         s = uniform_instance(9, n=40)

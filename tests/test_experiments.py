@@ -274,7 +274,7 @@ class TestRunSweep:
             samples = generate(cfg, r.n, r.rep)
             truth = cfg.truth_function()(samples.points[:, 0])
             search = grid_search(samples, cfg.k_grid, cfg.eps_grid, KERNEL, truth)
-            assert (r.K, r.epsilon, r.mse) == (search.best_K, search.best_epsilon,
+            assert (r.K, r.epsilon, r.mse) == (search.best_fit.K, search.best_fit.epsilon,
                                                search.best_mse)
             assert search.best_mse == float(np.mean((search.best_fit.fitted - truth) ** 2))
 

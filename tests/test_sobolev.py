@@ -19,7 +19,7 @@ from fracreg.sobolev import (
     zoo,
     zoo_function,
 )
-from fracreg.spectral import dirichlet_form, eigensolve, laplacian
+from fracreg.spectral import EigenSystem, dirichlet_form, eigensolve, laplacian
 
 UNIT_STEP = piecewise_constant([0.0, 0.5, 1.0], [1.0, 0.0])
 
@@ -286,6 +286,13 @@ class TestSpectralSeminorm:
             spectral_seminorm(eig, np.ones(eig.n), 1.2)
         with pytest.raises(InvalidInputError):
             spectral_seminorm(eig, np.ones(eig.n), 0.0)
+
+    def test_negative_eigenvalue_refused(self):
+        _, eig = self._system(5, n=20)
+        values = eig.values.copy()
+        values[1] = -1e-9 * values[-1]
+        with pytest.raises(InvalidInputError, match="negative"):
+            spectral_seminorm(EigenSystem(values, eig.vectors, eig.n), np.ones(eig.n), 0.5)
 
     def test_scaling_homogeneity(self):
         _, eig = self._system(4)

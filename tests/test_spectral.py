@@ -384,8 +384,8 @@ class TestPartialFits:
         eig = eigensolve(op, 30, method)
         u = np.random.default_rng(22).standard_normal(op.n)
         Ks = [7, 0, 30, 3, 7, 1]
-        fits, coef = eig.partial_fits(u, Ks)
-        np.testing.assert_array_equal(coef, eig.coefficients(u))
+        fits = eig.partial_fits(u, Ks)
+        coef = eig.coefficients(u)
         assert fits.shape == (len(Ks), op.n)
         cumulative = np.cumsum(coef[:, None] * eig.vectors.T, axis=0)
         for row, K in zip(fits, Ks):
