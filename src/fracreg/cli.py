@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import importlib
 import os
 import sys
@@ -99,15 +98,17 @@ def _kernel_from_view(view: cfg.ConfigView):
                       view.get_float("kernel.h", default=0.4, gt=0.0))
 
 
-def _tuning_from_view(view: cfg.ConfigView):
+def _tuning_from_view(view: cfg.ConfigView, extent: float):
+    """The rule, or None without tuning.s.  c0 and C0 default to extent, the
+    design's length, so that the rule's bandwidth scales with the design."""
     from fracreg.estimator import TuningRule
 
     if not view.has("tuning.s"):
         return None
     return TuningRule(s=view.get_unit_open("tuning.s", required=True),
-                      M=view.get_float("tuning.M", required=True, gt=0.0), dim=1,
-                      c0=view.get_float("tuning.c0", default=1.0, gt=0.0),
-                      C0=view.get_float("tuning.C0", default=1.0, gt=0.0))
+                      M=view.get_float("tuning.M", required=True, gt=0.0),
+                      c0=view.get_float("tuning.c0", default=extent, gt=0.0),
+                      C0=view.get_float("tuning.C0", default=extent, gt=0.0))
 
 
 # Sweep defaults (documented in the README): the standard study is the blocks
@@ -133,7 +134,7 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
     low = view.get_float("design.low", default=0.0)
     high = view.get_float("design.high", default=5.0, gt=low)
     kernel = _kernel_from_view(view)
-    tuning = _tuning_from_view(view)
+    tuning = _tuning_from_view(view, high - low)
     default_grids = tuning is None and not (view.has("grids.k") or view.has("grids.eps"))
     # keyword arguments are evaluated in the order written, the echo's order
     return ExperimentConfig(
@@ -333,18 +334,23 @@ def _cmd_eigen(args, out_dir, view):
         low = view.get_float("design.low", default=0.0)
         high = view.get_float("design.high", default=5.0, gt=low)
     kernel = _kernel_from_view(view)
-    tuning = _tuning_from_view(view)
+    # a data file's extent, the default of c0 and C0, is read with its points below;
+    # until then 1 holds their place in the echo
+    tuning = _tuning_from_view(view, high - low if data_path is None else 1.0)
     epsilon = view.get_float("epsilon", required=True, gt=0.0) if tuning is None else None
     view.get_int("m", minimum=1)  # its default and bound wait for the design's n
     view.reject_unknown()  # before a data file is opened
-    samples = (SampleSet.load_csv(data_path) if data_path is not None
-               else SampleSet(points=draw_design(seed, n, 0, low, high)[:, None]))
+    if data_path is None:
+        samples = SampleSet(points=draw_design(seed, n, 0, low, high)[:, None])
+    else:
+        samples = SampleSet.load_csv(data_path)
+        # the extent: the largest side of the points' bounding box
+        tuning = _tuning_from_view(view, float(np.ptp(samples.points, axis=0).max()))
     m = view.get_int("m", default=min(32, samples.n), minimum=1, maximum=samples.n)
     _write_echo(out_dir, view)
 
     if tuning is not None:
-        # the rule is read for 1-D designs; a data file may have more dimensions
-        _, epsilon = dataclasses.replace(tuning, dim=samples.dim).resolve(samples.n)
+        _, epsilon = tuning.resolve(samples.n, samples.dim)
     graph = build_graph(samples, epsilon, kernel)
     eig = eigensolve(laplacian(graph), m)
     eig.save_csv(os.path.join(out_dir, "eigen.csv"))

@@ -14,17 +14,17 @@ import numpy as np
 
 from fracreg.csvout import write_csv
 from fracreg.errors import InvalidInputError, TuningError
-from fracreg.graph import ConnectivityReport, KernelSpec, SampleSet, build_graph
+from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.spectral import EigenSystem, eigensolve, laplacian
 
 
 @dataclass(frozen=True)
 class TuningRule:
-    """Smoothness order s in (0,1), radius M > 0, dimension, window constants."""
+    """Smoothness order s in (0,1), radius M > 0, window constants; the
+    dimension d is the design's, given with n."""
 
     s: float
     M: float
-    dim: int
     c0: float = 1.0
     C0: float = 1.0
 
@@ -33,22 +33,20 @@ class TuningRule:
             raise InvalidInputError("s must lie in (0, 1)")
         if not self.M > 0:
             raise InvalidInputError("M must be positive")
-        if self.dim < 1:
-            raise InvalidInputError("dimension must be at least 1")
         if not (self.c0 > 0 and self.C0 > 0):
             raise InvalidInputError("window constants c0, C0 must be positive")
 
-    def resolve(self, n: int):
-        """(K, epsilon) for n samples: K = choose_K, and epsilon the geometric
-        midpoint of [c0 (log n / n)^(1/d), C0 K^(-1/d)].
+    def resolve(self, n: int, dim: int):
+        """(K, epsilon) for n samples in dimension dim: K = choose_K, and
+        epsilon the geometric midpoint of [c0 (log n / n)^(1/d), C0 K^(-1/d)].
 
         Raises TuningError when the window is empty.
         """
-        K = choose_K(self, n)
+        K = choose_K(self, n, dim)
         if n < 2:
             raise InvalidInputError("n must be at least 2")
-        lo = self.c0 * (math.log(n) / n) ** (1.0 / self.dim)
-        hi = self.C0 * K ** (-1.0 / self.dim)
+        lo = self.c0 * (math.log(n) / n) ** (1.0 / dim)
+        hi = self.C0 * K ** (-1.0 / dim)
         if lo > hi:
             raise TuningError(
                 "empty bandwidth window [%.6g, %.6g]: increase C0 or decrease c0" % (lo, hi)
@@ -65,11 +63,13 @@ def _snap_floor(x: float, rel: float = 1e-9) -> int:
     return int(math.floor(x))
 
 
-def choose_K(rule: TuningRule, n: int) -> int:
-    """min{ floor((M^2 n)^(d/(2s+d))) or 1, n }."""
+def choose_K(rule: TuningRule, n: int, dim: int) -> int:
+    """min{ floor((M^2 n)^(d/(2s+d))) or 1, n }, with d = dim."""
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    x = (rule.M ** 2 * n) ** (rule.dim / (2.0 * rule.s + rule.dim))
+    if dim < 1:
+        raise InvalidInputError("dimension must be at least 1")
+    x = (rule.M ** 2 * n) ** (dim / (2.0 * rule.s + dim))
     return min(max(_snap_floor(x), 1), n)
 
 
@@ -84,8 +84,11 @@ class RegressionFit:
     K: int
     epsilon: float
     eig: EigenSystem
-    connected: bool
     component_count: int
+
+    @property
+    def connected(self) -> bool:
+        return self.component_count == 1
 
     def save_csv(self, path, samples: SampleSet, metadata: dict | None = None):
         """Row per sample (index, coordinates, Y, fitted); metadata header lines."""
@@ -116,19 +119,7 @@ def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> Regre
     graph = build_graph(samples, epsilon, kernel)
     eig = eigensolve(laplacian(graph), max(K, 1))
     fitted = eig.partial_fits(samples.responses, [K])[0]
-    return _regression_fit(eig, fitted, K, epsilon, graph.components)
-
-
-def _regression_fit(eig: EigenSystem, fitted: np.ndarray, K: int, epsilon: float,
-                    report: ConnectivityReport) -> RegressionFit:
-    return RegressionFit(
-        fitted=fitted,
-        K=K,
-        epsilon=float(epsilon),
-        eig=eig,
-        connected=report.connected,
-        component_count=report.component_count,
-    )
+    return RegressionFit(fitted, K, float(epsilon), eig, graph.components.component_count)
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def grid_search(
     best_mse, K_best, eps_best = best
     graph, eig, fitted = winner
     return GridSearchResult(
-        best_fit=_regression_fit(eig, fitted, K_best, eps_best, graph.components),
+        best_fit=RegressionFit(fitted, K_best, eps_best, eig, graph.components.component_count),
         best_mse=best_mse,
         K_grid=tuple(K_grid),
         eps_grid=tuple(eps_grid),

@@ -93,8 +93,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
         has_rule = self.tuning is not None
-        if has_rule and self.tuning.dim != 1:
-            raise InvalidInputError("the tuning rule must have dim 1: designs are 1-D")
         has_grids = self.k_grid is not None or self.eps_grid is not None
         if has_rule == has_grids:
             raise InvalidInputError("give either a tuning rule or explicit grids, not both")
@@ -125,7 +123,7 @@ class ExperimentConfig:
         """(K grid, epsilon grid) of a sweep job at n: the rule's one cell, or
         the k_grid entries up to n against every eps_grid bandwidth."""
         if self.tuning is not None:
-            K, eps = self.tuning.resolve(n)
+            K, eps = self.tuning.resolve(n, 1)  # the designs are 1-D
             return [K], [eps]
         return [k for k in self.k_grid if k <= n], list(self.eps_grid)
 

@@ -180,15 +180,17 @@ def kernel_moments(kernel: KernelSpec, dim: int) -> KernelMoments:
 class NeighborGraph:
     """Sparse symmetric weighted adjacency from the epsilon rule.
 
-    weights is CSR with zero diagonal; degree[i] is the i-th row sum;
-    points is the (n, d) design the graph was built on.
+    weights is CSR with zero diagonal; points is the (n, d) design the graph
+    was built on.
     """
 
-    n: int
     epsilon: float
     weights: sparse.csr_matrix
-    degree: np.ndarray
     points: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
 
     @functools.cached_property
     def components(self) -> "ConnectivityReport":
@@ -244,20 +246,21 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
     # row-major pairs make the upper triangle CSR as it stands; the transpose mirrors it
     indptr = np.searchsorted(i, np.arange(n + 1))
     upper = sparse.csr_matrix((w, j, indptr), shape=(n, n))
-    weights = upper + upper.T
-    degree = np.asarray(weights.sum(axis=1)).ravel()
-    return NeighborGraph(n=n, epsilon=float(epsilon), weights=weights, degree=degree, points=pts)
+    return NeighborGraph(epsilon=float(epsilon), weights=upper + upper.T, points=pts)
 
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    connected: bool
     component_count: int
     labels: np.ndarray  # component index of each point, 0 .. count - 1
+
+    @property
+    def connected(self) -> bool:
+        return self.component_count == 1
 
 
 def connectivity_check(graph: NeighborGraph) -> ConnectivityReport:
     """Label the connected components over positive-weight edges."""
     # strong components of the symmetric weights: no symmetrized copy is made
     count, labels = csgraph.connected_components(graph.weights, connection="strong")
-    return ConnectivityReport(connected=(count == 1), component_count=int(count), labels=labels)
+    return ConnectivityReport(component_count=int(count), labels=labels)

@@ -54,6 +54,7 @@ class LaplacianOperator:
 
     @property
     def scale(self) -> float:
+        """1/(n eps^(d+2)), with d the dimension of the graph's points."""
         return 1.0 / (self.graph.n * self.graph.epsilon ** (self.graph.points.shape[1] + 2))
 
     def dense(self) -> np.ndarray:
@@ -61,10 +62,11 @@ class LaplacianOperator:
 
 
 def laplacian(graph: NeighborGraph) -> LaplacianOperator:
-    """The scaled Laplacian, with d the dimension of the graph's points."""
-    mat = (sparse.diags(graph.degree) - graph.weights).tocsr()
-    mat.data *= 1.0 / (graph.n * graph.epsilon ** (graph.points.shape[1] + 2))
-    return LaplacianOperator(graph=graph, matrix=mat)
+    """The scaled Laplacian: degrees (row sums of the weights) minus weights, times scale."""
+    degree = np.asarray(graph.weights.sum(axis=1)).ravel()
+    op = LaplacianOperator(graph=graph, matrix=(sparse.diags(degree) - graph.weights).tocsr())
+    op.matrix.data *= op.scale
+    return op
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,10 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def m(self) -> int:
@@ -261,7 +266,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
             "eigenpair residual %.3e exceeds tolerance %.1e" % (worst, tol),
             worst_residual=worst,
         )
-    return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors, n=n)
+    return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors)
 
 
 def dirichlet_form(op: LaplacianOperator, u: np.ndarray) -> float:

@@ -179,7 +179,7 @@ def test_criterion_6_membership_thresholds():
 def test_criterion_7_eigenvalue_growth():
     config = ExperimentConfig(
         truth="f2", n_grid=(1000,), repetitions=1, seed=20240501, kernel=KERNEL,
-        tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0),
+        tuning=TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0),
     )
     diag = eigenvalue_growth_diagnostic(config, 1000, 400)
     lam = np.asarray(diag.eigenvalues)
@@ -227,8 +227,8 @@ def test_criterion_8_tuning_formula_table():
     assert len(table) == 50
     mismatches = []
     for M, s, n, d in table:
-        rule = TuningRule(s=float(s), M=float(M), dim=d)
-        if choose_K(rule, n) != exact_choose_k(M * M, n, s, d):
+        rule = TuningRule(s=float(s), M=float(M))
+        if choose_K(rule, n, d) != exact_choose_k(M * M, n, s, d):
             mismatches.append((float(M), float(s), n, d))
     report(8, not mismatches, "%d/50 exact matches" % (50 - len(mismatches)))
 

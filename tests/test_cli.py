@@ -286,6 +286,15 @@ tuning.C0 = 0.0001
         record = Path(os.path.join(out, "error.txt")).read_text()
         assert "kind = solver" in record
 
+    @pytest.mark.parametrize("high", [5, 1])
+    def test_rule_window_constants_default_to_the_design_length(self, tmp_path, high):
+        cfg = write(tmp_path / "sweep.txt", "truth = f2\nn_grid = [40, 60]\nrepetitions = 1\n"
+                    "design.high = %d\ntuning.s = 0.45\ntuning.M = 1.0\n" % high)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", "1") == 0
+        echo = (out / "config_echo.txt").read_text()
+        assert "tuning.M = 1\ntuning.c0 = %d\ntuning.C0 = %d\n" % (high, high) in echo
+
 
 class TestFitCommand:
     def test_fit_csv_written(self, tmp_path, capsys):
@@ -474,6 +483,21 @@ class TestArguments:
 
 
 class TestEigenCommand:
+    def test_rule_window_constants_default_to_the_data_extent(self, tmp_path, capsys):
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2)) * [3.0, 2.0]
+        SampleSet(points).save_csv(tmp_path / "d.csv")
+        cfg = write(tmp_path / "e.txt", "data = %s\ntuning.s = 0.45\ntuning.M = 0.3\nm = 8\n"
+                    % (tmp_path / "d.csv"))
+        out = tmp_path / "o"
+        assert run_cli("eigen", "--config", cfg, "--out", str(out)) == 0
+        echo = cfgmod.parse_text((out / "config_echo.txt").read_text())
+        assert list(echo) == ["data", "kernel.family", "kernel.h", "tuning.s", "tuning.M",
+                              "tuning.c0", "tuning.C0", "m"]
+        extent = float(np.ptp(points, axis=0).max())  # the longer side, just under 3
+        assert echo["tuning.c0"].value == echo["tuning.C0"].value == extent
+        _, eps = cli.TuningRule(s=0.45, M=0.3, c0=extent, C0=extent).resolve(200, 2)
+        assert "epsilon=%.6g " % eps in capsys.readouterr().out
+
     def test_generated_design_lambda1(self, tmp_path):
         cfg = write(tmp_path / "e.txt", """\
 n = 300
@@ -728,10 +752,10 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 def test_readme_config_blocks_are_read_by_sweep(tmp_path):
     text = Path(README).read_text()
     blocks = [b.split("```", 1)[0] for b in text.split("```ini\n")[1:]]
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     without_grids = "".join(line + "\n" for line in blocks[0].splitlines()
                     if not line.startswith(("grids.", "theory_s")))
-    for i, config in enumerate([blocks[0], without_grids + blocks[1]]):
+    for i, config in enumerate([blocks[0], without_grids + blocks[1], blocks[2]]):
         out = tmp_path / str(i)
         assert run_cli("sweep", "--config", write(tmp_path / ("%d.txt" % i), config),
                        "--out", str(out), "--threads", "1",

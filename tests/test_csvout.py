@@ -43,7 +43,7 @@ def eigen_system(n=5):
     vectors = rng.standard_normal((n, m))
     vectors[0] = EDGE_FLOATS[:m]
     vectors[1] = EDGE_FLOATS[m:2 * m]
-    return EigenSystem(values=np.asarray(EDGE_FLOATS[m:2 * m]), vectors=vectors, n=n)
+    return EigenSystem(values=np.asarray(EDGE_FLOATS[m:2 * m]), vectors=vectors)
 
 
 def sample_set(responses=True):
@@ -56,7 +56,7 @@ def sample_set(responses=True):
 def regression_fit(samples):
     return RegressionFit(
         fitted=np.asarray(EDGE_FLOATS[-5:]), K=np.int64(3), epsilon=np.float64(0.25),
-        eig=eigen_system(samples.n), connected=False, component_count=2,
+        eig=eigen_system(samples.n), component_count=2,
     )
 
 

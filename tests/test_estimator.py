@@ -51,27 +51,34 @@ def exact_choose_k(M2: Fraction, n: int, s: Fraction, d: int) -> int:
 class TestTuning:
     def test_rule_validation(self):
         with pytest.raises(InvalidInputError):
-            TuningRule(s=1.0, M=1.0, dim=1)
+            TuningRule(s=1.0, M=1.0)
         with pytest.raises(InvalidInputError):
-            TuningRule(s=0.5, M=0.0, dim=1)
+            TuningRule(s=0.5, M=0.0)
         with pytest.raises(InvalidInputError):
-            TuningRule(s=0.5, M=1.0, dim=1, c0=-1.0)
+            TuningRule(s=0.5, M=1.0, c0=-1.0)
+
+    def test_dimension_must_be_positive(self):
+        rule = TuningRule(s=0.5, M=1.0)
+        with pytest.raises(InvalidInputError, match="dimension"):
+            choose_K(rule, 100, 0)
+        with pytest.raises(InvalidInputError, match="dimension"):
+            rule.resolve(100, 0)
 
     def test_choose_k_formula(self):
-        assert choose_K(TuningRule(s=0.5, M=1.0, dim=1), 1000) == 31
+        assert choose_K(TuningRule(s=0.5, M=1.0), 1000, 1) == 31
 
     def test_choose_k_small_radius_floor(self):
         # M^2 < 1/n pushes the raw formula below 1
-        assert choose_K(TuningRule(s=0.5, M=0.01, dim=1), 100) == 1
+        assert choose_K(TuningRule(s=0.5, M=0.01), 100, 1) == 1
 
     def test_choose_k_interpolation_regime(self):
         n, s, d = 200, 0.3, 1
         M = n ** (s / d) + 1.0
-        assert choose_K(TuningRule(s=s, M=M, dim=d), n) == n
+        assert choose_K(TuningRule(s=s, M=M), n, d) == n
 
     def test_choose_k_exact_integer_power(self):
         # 4096^(1/2) = 64 exactly; the floor must not lose it to rounding
-        assert choose_K(TuningRule(s=0.5, M=1.0, dim=1), 4096) == 64
+        assert choose_K(TuningRule(s=0.5, M=1.0), 4096, 1) == 64
 
     def test_choose_k_against_exact_arithmetic(self):
         combos = [
@@ -81,35 +88,35 @@ class TestTuning:
             (Fraction(1, 2), Fraction(9, 10), 17, 1),
         ]
         for M, s, n, d in combos:
-            rule = TuningRule(s=float(s), M=float(M), dim=d)
-            assert choose_K(rule, n) == exact_choose_k(M * M, n, s, d)
+            rule = TuningRule(s=float(s), M=float(M))
+            assert choose_K(rule, n, d) == exact_choose_k(M * M, n, s, d)
 
     def test_resolve_epsilon_midpoint(self):
-        rule = TuningRule(s=0.5, M=1.0, dim=1)
+        rule = TuningRule(s=0.5, M=1.0)
         lo = math.log(1000) / 1000
         hi = 1.0 / 31.0
         expect = math.sqrt(lo * hi)
-        K, got = rule.resolve(1000)
+        K, got = rule.resolve(1000, 1)
         assert K == 31
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(0.01493, abs=5e-6)
         assert lo <= got <= hi
 
     def test_resolve_empty_window(self):
-        rule = TuningRule(s=0.5, M=1.0, dim=1, c0=100.0, C0=1e-4)
+        rule = TuningRule(s=0.5, M=1.0, c0=100.0, C0=1e-4)
         with pytest.raises(TuningError):
-            rule.resolve(1000)
+            rule.resolve(1000, 1)
 
     def test_resolve_is_choose_k_then_the_window_midpoint(self):
-        rule = TuningRule(s=0.4, M=1.0, dim=1)
+        rule = TuningRule(s=0.4, M=1.0)
         for n in (50, 100, 1000):
-            K = choose_K(rule, n)
+            K = choose_K(rule, n, 1)
             lo, hi = (math.log(n) / n) ** 1.0, K ** -1.0  # c0 = C0 = 1, d = 1
-            assert rule.resolve(n) == (K, math.sqrt(lo * hi))
+            assert rule.resolve(n, 1) == (K, math.sqrt(lo * hi))
 
     def test_resolve_epsilon_k1_upper_bound(self):
-        rule = TuningRule(s=0.5, M=0.01, dim=1, C0=0.9)
-        K, got = rule.resolve(500)
+        rule = TuningRule(s=0.5, M=0.01, C0=0.9)
+        K, got = rule.resolve(500, 1)
         assert K == 1
         assert got <= 0.9  # K = 1 gives the loosest upper bound, C0 itself
 
@@ -136,9 +143,9 @@ class TestFit:
         # rule-tuned f2 sample whose 29 components outnumber K = 12: the fit
         # projects onto part of the kernel, which must not hang on the order
         config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
-                                  tuning=TuningRule(s=0.4, M=1.0, dim=1))
+                                  tuning=TuningRule(s=0.4, M=1.0))
         s = generate(config, 100, 1)
-        K, eps = config.tuning.resolve(100)
+        K, eps = config.tuning.resolve(100, 1)
         perm = np.random.default_rng(7).permutation(100)
         res = fit(s, K, eps, KERNEL)
         shuffled = fit(SampleSet(s.points[perm], s.responses[perm]), K, eps, KERNEL)
@@ -151,9 +158,9 @@ class TestFit:
     def test_components_are_labelled_once(self, monkeypatch):
         # rule-tuned f2 sample with 29 components: the solver builds its kernel basis from them too
         config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
-                                  tuning=TuningRule(s=0.4, M=1.0, dim=1))
+                                  tuning=TuningRule(s=0.4, M=1.0))
         s = generate(config, 100, 1)
-        K, eps = config.tuning.resolve(100)
+        K, eps = config.tuning.resolve(100, 1)
         calls = []
         real = graph_module.connectivity_check
 

@@ -42,19 +42,13 @@ class TestConfigValidation:
 
     def test_rule_and_grids_exclusive(self):
         with pytest.raises(InvalidInputError):
-            grid_config(tuning=TuningRule(s=0.5, M=1.0, dim=1))
+            grid_config(tuning=TuningRule(s=0.5, M=1.0))
         with pytest.raises(InvalidInputError):
             ExperimentConfig(truth="f2", n_grid=(40,), repetitions=1, seed=0)
 
     def test_unknown_truth(self):
         with pytest.raises(InvalidInputError):
             grid_config(truth="f7")
-
-    def test_only_one_dimensional_designs(self):
-        # the designs are 1-D, so a rule tuned for d = 2 would mis-size K and eps
-        grid_config(k_grid=None, eps_grid=None, tuning=TuningRule(s=0.5, M=1.0, dim=1))
-        with pytest.raises(InvalidInputError, match="dim 1"):
-            grid_config(k_grid=None, eps_grid=None, tuning=TuningRule(s=0.5, M=1.0, dim=2))
 
     def test_design_outside_truth_domain_rejected(self):
         # f1 lives on (-1, 1); the default design [0, 5] would fail every job
@@ -69,7 +63,7 @@ class TestConfigValidation:
 
     def test_theory_s_only_with_grids(self):
         # a rule reports its own s, so a second one would be echoed and ignored
-        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0)
+        rule = TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0)
         with pytest.raises(InvalidInputError, match="theory_s"):
             grid_config(k_grid=None, eps_grid=None, tuning=rule, theory_s=0.2)
         assert grid_config(theory_s=0.2).theory_s == 0.2
@@ -82,10 +76,10 @@ class TestSearchGrid:
         assert cfg.search_grid(40) == ([1, 4, 8, 16], [1.0, 0.5])
 
     def test_rule_tuning_is_its_one_cell(self):
-        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0)
+        rule = TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0)
         cfg = grid_config(n_grid=(100, 200), k_grid=None, eps_grid=None, tuning=rule)
         for n in (100, 200):
-            K, eps = rule.resolve(n)
+            K, eps = rule.resolve(n, 1)
             assert cfg.search_grid(n) == ([K], [eps])
 
     def test_k_grid_without_an_entry_at_some_n_rejected(self):
@@ -105,7 +99,7 @@ class TestSearchGrid:
 
     def test_empty_rule_window_rejected(self):
         # the window is empty at every n, so the first n of the grid fails
-        rule = TuningRule(s=0.45, M=1.0, dim=1, c0=50.0, C0=1.0)
+        rule = TuningRule(s=0.45, M=1.0, c0=50.0, C0=1.0)
         with pytest.raises(TuningError, match="empty bandwidth window"):
             grid_config(n_grid=(100, 200), k_grid=None, eps_grid=None, tuning=rule)
 
@@ -221,7 +215,7 @@ class TestRunSweep:
     def test_rule_tuning_path(self):
         cfg = ExperimentConfig(
             truth="f2", n_grid=(100, 150), repetitions=2, seed=5, kernel=KERNEL,
-            tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0),
+            tuning=TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0),
         )
         report = run_sweep(cfg)
         assert len(report.records) == 4
@@ -350,7 +344,7 @@ class TestGridTunedJob:
     def test_fit_equals_standalone_fit(self, n, eps_grid, monkeypatch):
         if eps_grid is None:
             cfg = grid_config(n_grid=(n,), k_grid=None, eps_grid=None,
-                              tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0))
+                              tuning=TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0))
         else:
             cfg = grid_config(n_grid=(n,), eps_grid=eps_grid, k_grid=(1, 4, 8, 16, 32))
         samples = generate(cfg, n, 0)
@@ -369,7 +363,7 @@ class TestGridTunedJob:
         assert (res.K, res.epsilon) == (alone.K, alone.epsilon)
         assert (res.connected, res.component_count) == (alone.connected, alone.component_count)
         if eps_grid is None:
-            assert (res.K, res.epsilon) == cfg.tuning.resolve(n)
+            assert (res.K, res.epsilon) == cfg.tuning.resolve(n, 1)
             np.testing.assert_array_equal(res.fitted, alone.fitted)
         else:
             np.testing.assert_allclose(res.fitted, alone.fitted, rtol=0, atol=1e-10)
@@ -380,7 +374,7 @@ class TestGrowthDiagnostic:
     def _config(self):
         return ExperimentConfig(
             truth="f2", n_grid=(1000,), repetitions=1, seed=17, kernel=KERNEL,
-            tuning=TuningRule(s=0.45, M=1.0, dim=1, c0=5.0, C0=5.0),
+            tuning=TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0),
         )
 
     def test_insufficient_range(self):
@@ -401,7 +395,7 @@ class TestGrowthDiagnostic:
 
     def test_bandwidth_is_the_middle_of_the_search(self):
         assert eigenvalue_growth_diagnostic(self._config(), 300, 4).epsilon == \
-            self._config().tuning.resolve(300)[1]
+            self._config().tuning.resolve(300, 1)[1]
         cfg = grid_config(n_grid=(300,), eps_grid=(1.0, 0.25, 0.5, 2.0))
         assert eigenvalue_growth_diagnostic(cfg, 300, 4).epsilon == 1.0
 

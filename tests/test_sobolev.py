@@ -292,7 +292,7 @@ class TestSpectralSeminorm:
         values = eig.values.copy()
         values[1] = -1e-9 * values[-1]
         with pytest.raises(InvalidInputError, match="negative"):
-            spectral_seminorm(EigenSystem(values, eig.vectors, eig.n), np.ones(eig.n), 0.5)
+            spectral_seminorm(EigenSystem(values, eig.vectors), np.ones(eig.n), 0.5)
 
     def test_scaling_homogeneity(self):
         _, eig = self._system(4)
