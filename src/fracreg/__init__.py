@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConfigError", "FracregError", "InvalidInputError", "SolverError",
                "TuningError"),
-    "estimator": ("RegressionFit", "TuningRule", "bias_variance_decompose", "choose_K",
-                  "fit", "grid_search"),
+    "estimator": ("RegressionFit", "TuningRule", "choose_K", "fit", "grid_search"),
     "experiments": ("ExperimentConfig", "ExperimentReport", "eigenvalue_growth_diagnostic",
                     "generate", "run_sweep"),
     "graph": ("KernelMoments", "KernelSpec", "NeighborGraph", "SampleSet", "build_graph",

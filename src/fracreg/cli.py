@@ -345,7 +345,13 @@ def _cmd_eigen(args, out_dir, view):
     else:
         samples = SampleSet.load_csv(data_path)
         # the extent: the largest side of the points' bounding box
-        tuning = _tuning_from_view(view, float(np.ptp(samples.points, axis=0).max()))
+        extent = float(np.ptp(samples.points, axis=0).max())
+        if tuning is not None and extent == 0.0 and not (
+                view.has("tuning.c0") and view.has("tuning.C0")):
+            raise InvalidInputError("%s: the points' bounding box has zero extent, so the "
+                                    "window constants have no default: set both tuning.c0 "
+                                    "and tuning.C0" % data_path)
+        tuning = _tuning_from_view(view, extent)
     m = view.get_int("m", default=min(32, samples.n), minimum=1, maximum=samples.n)
     _write_echo(out_dir, view)
 

@@ -186,25 +186,3 @@ def grid_search(
         mse_surface=surface,
     )
 
-
-@dataclass(frozen=True)
-class BiasVariance:
-    bias_sq: float
-    variance_proxy: float
-
-
-def bias_variance_decompose(fit_result: RegressionFit, truth: np.ndarray) -> BiasVariance:
-    """Split the error against a known truth at the fitted projection rank.
-
-    bias_sq is the squared empirical norm of the truth outside the K-span
-    (the complement formula, valid for any computed m >= K); variance_proxy
-    is the realized noise energy inside the span.
-    """
-    truth = np.asarray(truth, dtype=float)
-    eig = fit_result.eig
-    if truth.shape != (eig.n,):
-        raise InvalidInputError("truth must have length n=%d" % eig.n)
-    proj_truth = eig.partial_fits(truth, [fit_result.K])[0]
-    bias_sq = float(np.mean((truth - proj_truth) ** 2))
-    variance_proxy = float(np.mean((fit_result.fitted - proj_truth) ** 2))
-    return BiasVariance(bias_sq=bias_sq, variance_proxy=variance_proxy)

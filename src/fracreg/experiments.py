@@ -46,10 +46,8 @@ _OPENBLAS_THREAD_SYMBOLS = (
 # disconnected in more than this fraction of repetitions.
 _DISCONNECT_EXCLUSION = 0.10
 
-# eigenvalue_growth_diagnostic's growth-regime end, as a fraction of the eps^-2
-# cap, and the factor off the median ratio that counts as a window violation.
+# eigenvalue_growth_diagnostic's growth-regime end, as a fraction of the eps^-2 cap.
 _CAP_FRACTION = 0.1
-_SANDWICH = 10.0
 
 
 @dataclass(frozen=True)
@@ -401,8 +399,6 @@ class GrowthDiagnostic:
     """Log-log growth of the small eigenvalues against the Weyl prediction."""
 
     exponent: float
-    window: tuple
-    window_violations: float
     cap_constant: float
     insufficient_range: bool
     eigenvalues: tuple
@@ -414,11 +410,10 @@ def eigenvalue_growth_diagnostic(config: ExperimentConfig, n: int, m: int) -> Gr
 
     The bandwidth is the middle one of the sweep's search at n, which under
     a rule is the rule's one epsilon.  The growth (pre-cap) regime is taken
-    as the eigenvalues below _CAP_FRACTION * eps^-2; beyond the cap
-    the spectrum plateaus at a constant times eps^-2, which is reported as
-    cap_constant = max lambda * eps^2.  window_violations is the fraction of
-    k whose ratio against min(k^(2/d), eps^-2) is more than _SANDWICH
-    times off the median ratio.
+    as the eigenvalues below _CAP_FRACTION * eps^-2; with fewer than three
+    of them the exponent is nan and insufficient_range is set.  Beyond the
+    cap the spectrum plateaus at a constant times eps^-2, which is reported
+    as cap_constant = max lambda * eps^2.
     """
     if m > n:
         raise InvalidInputError("m must not exceed n")
@@ -426,32 +421,19 @@ def eigenvalue_growth_diagnostic(config: ExperimentConfig, n: int, m: int) -> Gr
     grid = sorted(config.search_grid(n)[1])
     eps = grid[len(grid) // 2]
     graph = build_graph(samples, eps, config.kernel)
-    op = laplacian(graph)
-    eig = eigensolve(op, m)
-    lam = eig.values
+    lam = eigensolve(laplacian(graph), m).values
 
-    d = samples.dim
-    cap = eps ** -2.0
     ks = np.arange(2, m + 1)
     lam_k = lam[1:m]
-    usable = lam_k > 0.0  # eigensolve snaps its near-zero eigenvalues to 0
-    in_window = usable & (lam_k < _CAP_FRACTION * cap)
-    if int(np.sum(in_window)) < 3:
-        return GrowthDiagnostic(
-            exponent=math.nan, window=(), window_violations=math.nan,
-            cap_constant=float(np.max(lam) * eps ** 2),
-            insufficient_range=True, eigenvalues=tuple(lam), epsilon=eps,
-        )
-    slope, _ = _ols_slope(np.log(ks[in_window].astype(float)), np.log(lam_k[in_window]))
-    ratios = lam_k[usable] / np.minimum(ks[usable] ** (2.0 / d), cap)
-    center = float(np.median(ratios))
-    violations = float(np.mean((ratios < center / _SANDWICH) | (ratios > center * _SANDWICH)))
+    # eigensolve snaps its near-zero eigenvalues to 0
+    in_window = (lam_k > 0.0) & (lam_k < _CAP_FRACTION * eps ** -2.0)
+    insufficient = int(np.sum(in_window)) < 3
+    exponent = math.nan if insufficient else _ols_slope(
+        np.log(ks[in_window].astype(float)), np.log(lam_k[in_window]))[0]
     return GrowthDiagnostic(
-        exponent=slope,
-        window=(int(ks[in_window][0]), int(ks[in_window][-1])),
-        window_violations=violations,
+        exponent=exponent,
         cap_constant=float(np.max(lam) * eps ** 2),
-        insufficient_range=False,
+        insufficient_range=insufficient,
         eigenvalues=tuple(lam),
         epsilon=eps,
     )

@@ -155,7 +155,6 @@ class KernelMoments:
 
     sigma0: float
     sigma1: float
-    dim: int
 
 
 def kernel_moments(kernel: KernelSpec, dim: int) -> KernelMoments:
@@ -173,7 +172,7 @@ def kernel_moments(kernel: KernelSpec, dim: int) -> KernelMoments:
                            epsabs=1e-13, epsrel=1e-13, limit=200)
     m2, _ = integrate.quad(lambda r: kernel(r) * r ** (dim + 1), 0.0, 1.0,
                            epsabs=1e-13, epsrel=1e-13, limit=200)
-    return KernelMoments(sigma0=surface * m0, sigma1=surface * m2 / dim, dim=dim)
+    return KernelMoments(sigma0=surface * m0, sigma1=surface * m2 / dim)
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,12 @@ def zoo() -> dict:
     }
 
 
+# Each zoo truth's smoothness s*, the supremum of the s with the truth in H^s:
+# the cusp |x|^(1/2) reaches 1, the jumps of f2 and f3 stop at 1/2, and the
+# kinks at the centres of f4's bumps at 3/2.
+ZOO_SMOOTHNESS = {"f1": 1.0, "f2": 0.5, "f3": 0.5, "f4": 1.5}
+
+
 def zoo_function(name: str) -> TestFunction:
     table = zoo()
     if name not in table:

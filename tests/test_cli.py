@@ -498,6 +498,23 @@ class TestEigenCommand:
         _, eps = cli.TuningRule(s=0.45, M=0.3, c0=extent, C0=extent).resolve(200, 2)
         assert "epsilon=%.6g " % eps in capsys.readouterr().out
 
+    def test_coincident_points_need_both_window_constants(self, tmp_path, capsys):
+        # the bounding box has zero extent, so c0 and C0 have no default
+        (tmp_path / "d.csv").write_text("x1\n" + "1.5\n" * 20)
+        rule = "data = %s\ntuning.s = 0.45\ntuning.M = 1\n" % (tmp_path / "d.csv")
+        for i, given in enumerate(["", "tuning.c0 = 1\n"]):
+            out = tmp_path / ("o%d" % i)
+            assert run_cli("eigen", "--config", write(tmp_path / "e.txt", rule + given),
+                           "--out", str(out)) == 2
+            assert sorted(os.listdir(out)) == ["error.txt"]
+            message = (out / "error.txt").read_text()
+            assert "zero extent" in message and "tuning.c0 and tuning.C0" in message
+        out = tmp_path / "both"
+        both = rule + "tuning.c0 = 1\ntuning.C0 = 1\n"
+        assert run_cli("eigen", "--config", write(tmp_path / "e.txt", both),
+                       "--out", str(out)) == 0
+        assert (out / "eigen.csv").exists()
+
     def test_generated_design_lambda1(self, tmp_path):
         cfg = write(tmp_path / "e.txt", """\
 n = 300

@@ -8,7 +8,6 @@ from fracreg import graph as graph_module
 from fracreg.errors import InvalidInputError, TuningError
 from fracreg.estimator import (
     TuningRule,
-    bias_variance_decompose,
     choose_K,
     fit,
     grid_search,
@@ -334,18 +333,15 @@ class TestGridSearch:
             grid_search(s, [], [0.5], KERNEL, np.zeros(s.n))
 
 
-class TestBiasVariance:
-    def test_constant_truth_no_bias(self):
+class TestTruthProjection:
+    """|f - P_K f|_n^2, the approximation half of the error, from the fit's eigensystem."""
+
+    def test_constant_truth_lies_in_the_span(self):
         s = uniform_instance(12, n=40)
         res = fit(s, 3, 0.9, KERNEL)
-        bv = bias_variance_decompose(res, np.full(40, 1.5))
-        assert bv.bias_sq <= 1e-12
-
-    def test_full_rank_no_bias(self):
-        s = uniform_instance(13, n=30)
-        res = fit(s, 30, 0.9, KERNEL)
-        bv = bias_variance_decompose(res, np.sin(s.points[:, 0]))
-        assert bv.bias_sq <= 1e-12
+        truth = np.full(40, 1.5)
+        projected = res.eig.partial_fits(truth, [3])[0]
+        assert np.mean((truth - projected) ** 2) <= 1e-12
 
     def test_second_eigenvector_truth(self):
         s = uniform_instance(14, n=30)
@@ -353,16 +349,13 @@ class TestBiasVariance:
         eig = eigensolve(laplacian(graph), 2)
         v2 = eig.vectors[:, 1]
         res = fit(SampleSet(s.points, v2), 1, 0.9, KERNEL)
-        bv = bias_variance_decompose(res, v2)
-        assert bv.bias_sq == pytest.approx(1.0, abs=1e-8)
+        # v2 is orthogonal to the K = 1 span and has unit empirical norm
+        assert np.mean((v2 - res.fitted) ** 2) == pytest.approx(1.0, abs=1e-8)
 
-    def test_noiseless_mse_equals_bias_exactly(self):
+    def test_noiseless_fit_is_the_truths_projection_exactly(self):
         rng = np.random.default_rng(15)
         x = np.sort(rng.uniform(0, 5, 60))
         truth = np.sin(x)
-        s = SampleSet(x[:, None], truth.copy())
-        res = fit(s, 6, 0.8, KERNEL)
-        bv = bias_variance_decompose(res, truth)
-        mse = float(np.mean((res.fitted - truth) ** 2))
-        assert mse == bv.bias_sq  # identical float paths, exact equality
-        assert bv.variance_proxy == 0.0
+        res = fit(SampleSet(x[:, None], truth.copy()), 6, 0.8, KERNEL)
+        # identical float paths: the MSE is the approximation error, with no noise part
+        np.testing.assert_array_equal(res.fitted, res.eig.partial_fits(truth, [6])[0])

@@ -246,15 +246,15 @@ class TestRunSweep:
         assert report.failures[0].message == "SolverError: no convergence"
 
     def test_noiseless_mse_equals_bias(self):
-        from fracreg.estimator import bias_variance_decompose, fit
+        from fracreg.estimator import fit
         cfg = grid_config(noise_sd=0.0, k_grid=(6,), eps_grid=(0.8,), n_grid=(50, 60))
         report = run_sweep(cfg)
         samples = generate(cfg, 50, 0)
         truth = cfg.truth_function()(samples.points[:, 0])
-        res = fit(samples, 6, 0.8, KERNEL)
-        bv = bias_variance_decompose(res, truth)
+        projected = fit(samples, 6, 0.8, KERNEL).eig.partial_fits(truth, [6])[0]
+        bias_sq = np.mean((truth - projected) ** 2)
         rec = next(r for r in report.records if r.n == 50 and r.rep == 0)
-        assert rec.mse == bv.bias_sq
+        assert rec.mse == bias_sq
 
     def test_grid_tuned_record_is_the_searched_score(self):
         # default grids: each record carries the search's own best_mse, which
@@ -387,7 +387,6 @@ class TestGrowthDiagnostic:
         assert not diag.insufficient_range
         assert math.isfinite(diag.exponent)
         assert diag.cap_constant > 0
-        assert 0.0 <= diag.window_violations <= 1.0
 
     def test_m_bounds(self):
         with pytest.raises(InvalidInputError):

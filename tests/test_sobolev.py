@@ -10,6 +10,7 @@ from fracreg import cli, sobolev
 from fracreg.errors import InvalidInputError
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import (
+    ZOO_SMOOTHNESS,
     bumps,
     continuum_seminorm,
     piecewise_constant,
@@ -304,7 +305,7 @@ class TestSpectralSeminorm:
 
 class TestZoo:
     def test_names(self):
-        assert set(zoo()) == {"f1", "f2", "f3", "f4"}
+        assert set(zoo()) == set(ZOO_SMOOTHNESS) == {"f1", "f2", "f3", "f4"}
 
     def test_unknown_name(self):
         with pytest.raises(InvalidInputError):
@@ -316,3 +317,12 @@ class TestZoo:
         assert z["f2"].family == "piecewise_constant"
         assert z["f3"].family == "piecewise_polynomial"
         assert z["f4"].family == "bumps"
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_the_stated_smoothness_bounds_the_seminorms_that_converge(self, name):
+        # the quadrature tells members from non-members at level 12 a tenth off
+        # s*; s = 1/2 itself is avoided, where a jump's log divergence reads finite
+        fn, s_star = zoo_function(name), ZOO_SMOOTHNESS[name]
+        assert not continuum_seminorm(fn, min(s_star, 1.0) - 0.1, 12).diverged
+        if s_star + 0.1 < 1.0:
+            assert continuum_seminorm(fn, s_star + 0.1, 12).diverged
