@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import os
 import sys
 
 import numpy as np
 
+import fracreg
 from fracreg import config as cfg
 from fracreg import sobolev
 from fracreg.csvout import write_csv
@@ -33,21 +33,16 @@ EXIT_TUNING = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
 
-_SOLVER_COMMANDS = ("fit", "sweep", "eigen", "gridsearch")
-
 # Solver-stack names readable as attributes of this module
-# (fracreg.cli.build_graph).  Each access looks the name up in its home
-# module, so importing this one loads none of them.
-_SOLVER_NAMES = {
-    "TuningRule": "estimator", "fit": "estimator", "grid_search": "estimator",
-    "KernelSpec": "graph", "SampleSet": "graph", "build_graph": "graph",
-    "eigensolve": "spectral", "laplacian": "spectral",
-}
+# (fracreg.cli.build_graph).  Each access looks the name up through the
+# package's own lazy table, so importing this module loads none of them.
+_SOLVER_NAMES = ("TuningRule", "fit", "grid_search", "KernelSpec", "SampleSet",
+                 "build_graph", "eigensolve", "laplacian")
 
 
 def __getattr__(name):
     if name in _SOLVER_NAMES:
-        return getattr(importlib.import_module("fracreg." + _SOLVER_NAMES[name]), name)
+        return getattr(fracreg, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
@@ -56,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fracreg",
         description="Eigenmap regression, fractional-Sobolev tools, and rate experiments.",
     )
-    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="path to the config file (required except for zoo)")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $%s)" % OUT_ENV_VAR)
@@ -372,25 +367,17 @@ def _cmd_zoo(args, out_dir, view):
     print("zoo: wrote %d function definitions" % len(sobolev.zoo()))
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "sweep": _cmd_sweep,
-    "seminorm": _cmd_seminorm,
-    "eigen": _cmd_eigen,
-    "gridsearch": _cmd_gridsearch,
-    "zoo": _cmd_zoo,
-}
-
-
-# What each command writes beside config_echo.txt (and error.txt on failure).
-# A run first removes all of them, so a failed run leaves none of an earlier one's.
-_ARTIFACTS = {
-    "fit": ("fit.csv",),
-    "sweep": ("records.csv", "summary.csv", "failures.csv", "curve.csv"),
-    "seminorm": ("seminorm.csv",),
-    "eigen": ("eigen.csv",),
-    "gridsearch": ("surface.csv", "best.txt"),
-    "zoo": tuple("%s.txt" % name for name in sobolev.zoo()),
+# One row per command: its handler; whether it computes with BLAS, which
+# runs it at one BLAS thread; and what it writes beside config_echo.txt (and
+# error.txt on failure).  A run first removes all of those files, so a failed
+# run leaves none of an earlier one's.
+_COMMANDS = {
+    "fit": (_cmd_fit, True, ("fit.csv",)),
+    "sweep": (_cmd_sweep, True, ("records.csv", "summary.csv", "failures.csv", "curve.csv")),
+    "seminorm": (_cmd_seminorm, False, ("seminorm.csv",)),
+    "eigen": (_cmd_eigen, True, ("eigen.csv",)),
+    "gridsearch": (_cmd_gridsearch, True, ("surface.csv", "best.txt")),
+    "zoo": (_cmd_zoo, False, tuple("%s.txt" % name for name in sobolev.zoo())),
 }
 
 
@@ -422,12 +409,13 @@ def main(argv=None) -> int:
         print("fracreg: cannot create %s: %s" % (out_dir, exc), file=sys.stderr)
         return EXIT_IO
 
+    handler, uses_blas, artifacts = _COMMANDS[args.command]
     try:
-        for name in ("config_echo.txt", "error.txt") + _ARTIFACTS[args.command]:
+        for name in ("config_echo.txt", "error.txt") + artifacts:
             with contextlib.suppress(FileNotFoundError):  # left by an earlier run
                 os.remove(os.path.join(out_dir, name))
         view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
-        if args.command in _SOLVER_COMMANDS:
+        if uses_blas:
             # Outputs must not depend on the BLAS thread count.  The import
             # loads scipy, so the pin sees its OpenBLAS as well as numpy's.
             from fracreg.experiments import _one_blas_thread
@@ -435,7 +423,7 @@ def main(argv=None) -> int:
         else:  # seminorm and zoo call no BLAS routine
             pin = contextlib.nullcontext()
         with pin:
-            _HANDLERS[args.command](args, out_dir, view)
+            handler(args, out_dir, view)
         return EXIT_OK
     except TuningError as exc:
         code, kind, err = EXIT_TUNING, "tuning", exc

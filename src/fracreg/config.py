@@ -2,7 +2,7 @@
 
 Syntax, line oriented:
 
-    # comment (also allowed after a value)
+    # comment (also after a value: from the first '#' outside quotes)
     key = value
     dotted.key = value
     list_key = [1, 2.5, 3]
@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from fracreg.errors import ConfigError
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+# A comment starts at the first '#' outside a double-quoted string.  A line
+# with an unclosed quote does not match: it has no comment.
+_LINE_RE = re.compile(r'([^"#]*(?:"[^"]*"[^"#]*)*)(?:#.*)?')
 
 OVERRIDE_SOURCE = "<override>"
 
@@ -60,17 +63,8 @@ def parse_text(text: str, source: str = "<config>") -> dict:
     """Parse config text into an ordered mapping key -> Entry(value, line)."""
     entries: dict[str, Entry] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        if '"' not in line:
-            line = line.split("#", 1)[0]
-        else:
-            # strip a trailing comment only when it follows the closing quote
-            m = re.match(r'^([^"#]*"[^"]*"[^#"]*)#.*$', line)
-            if m:
-                line = m.group(1)
-            elif line.lstrip().startswith("#"):
-                line = ""
-        line = line.strip()
+        m = _LINE_RE.fullmatch(raw)
+        line = (m.group(1) if m else raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -112,7 +106,8 @@ def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text  # "-0" would read back as the int 0
     if isinstance(value, int):
         return str(value)
     text = str(value)

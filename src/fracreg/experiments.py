@@ -202,7 +202,6 @@ class ExperimentReport:
     failures: tuple
     n_values: tuple
     mean_mse_per_n: tuple
-    disconnected_fraction: tuple
     excluded_n: tuple
     fitted_slope: float
     slope_stderr: float
@@ -377,7 +376,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
         failures=tuple(failures),
         n_values=tuple(n_values),
         mean_mse_per_n=tuple(means),
-        disconnected_fraction=tuple(disc),
         excluded_n=tuple(excluded),
         fitted_slope=slope,
         slope_stderr=stderr,
@@ -400,7 +398,6 @@ class GrowthDiagnostic:
 
     exponent: float
     cap_constant: float
-    insufficient_range: bool
     eigenvalues: tuple
     epsilon: float
 
@@ -411,29 +408,27 @@ def eigenvalue_growth_diagnostic(config: ExperimentConfig, n: int, m: int) -> Gr
     The bandwidth is the middle one of the sweep's search at n, which under
     a rule is the rule's one epsilon.  The growth (pre-cap) regime is taken
     as the eigenvalues below _CAP_FRACTION * eps^-2; with fewer than three
-    of them the exponent is nan and insufficient_range is set.  Beyond the
+    of them the exponent is nan.  Beyond the
     cap the spectrum plateaus at a constant times eps^-2, which is reported
     as cap_constant = max lambda * eps^2.
     """
     if m > n:
         raise InvalidInputError("m must not exceed n")
-    samples = generate(config, n, 0)
+    x = draw_design(config.seed, n, 0, config.design_low, config.design_high)
     grid = sorted(config.search_grid(n)[1])
     eps = grid[len(grid) // 2]
-    graph = build_graph(samples, eps, config.kernel)
+    graph = build_graph(SampleSet(points=x[:, None]), eps, config.kernel)
     lam = eigensolve(laplacian(graph), m).values
 
     ks = np.arange(2, m + 1)
     lam_k = lam[1:m]
     # eigensolve snaps its near-zero eigenvalues to 0
     in_window = (lam_k > 0.0) & (lam_k < _CAP_FRACTION * eps ** -2.0)
-    insufficient = int(np.sum(in_window)) < 3
-    exponent = math.nan if insufficient else _ols_slope(
+    exponent = math.nan if np.sum(in_window) < 3 else _ols_slope(
         np.log(ks[in_window].astype(float)), np.log(lam_k[in_window]))[0]
     return GrowthDiagnostic(
         exponent=exponent,
         cap_constant=float(np.max(lam) * eps ** 2),
-        insufficient_range=insufficient,
         eigenvalues=tuple(lam),
         epsilon=eps,
     )

@@ -31,6 +31,14 @@ BRUTE_FORCE_LIMIT = 512
 KERNEL_FAMILIES = ("indicator", "triangular", "truncated_gaussian")
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Design points in R^d plus optional responses.
@@ -92,6 +100,9 @@ class SampleSet:
                 header = next(reader)
             except StopIteration:
                 raise InvalidInputError("%s: empty sample file (header row required)" % path)
+            if header and all(_is_number(cell) for cell in header):
+                raise InvalidInputError("%s: the first row holds numbers only, but a header "
+                                        "row (x1, ..., xd and y) is required" % path)
             has_response = bool(header) and header[-1].strip() == "y"
             d = len(header) - (1 if has_response else 0)
             if d < 1:
@@ -196,11 +207,6 @@ class NeighborGraph:
         """The connected components, labelled once per graph."""
         return connectivity_check(self)
 
-    def edge_arrays(self):
-        """Return (rows, cols, w) over all stored (ordered) entries."""
-        coo = self.weights.tocoo()
-        return coo.row, coo.col, coo.data
-
 
 def brute_force_pairs(points: np.ndarray, epsilon: float):
     """All (i, j), i < j, with distance at most epsilon, in row-major order, by an O(n^2) scan."""
@@ -252,10 +258,6 @@ def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> Neigh
 class ConnectivityReport:
     component_count: int
     labels: np.ndarray  # component index of each point, 0 .. count - 1
-
-    @property
-    def connected(self) -> bool:
-        return self.component_count == 1
 
 
 def connectivity_check(graph: NeighborGraph) -> ConnectivityReport:

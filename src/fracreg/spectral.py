@@ -57,9 +57,6 @@ class LaplacianOperator:
         """1/(n eps^(d+2)), with d the dimension of the graph's points."""
         return 1.0 / (self.graph.n * self.graph.epsilon ** (self.graph.points.shape[1] + 2))
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def laplacian(graph: NeighborGraph) -> LaplacianOperator:
     """The scaled Laplacian: degrees (row sums of the weights) minus weights, times scale."""
@@ -200,7 +197,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     tol = _REL_TOL * (2.0 * float(diag.max()) + 1e-30)
     if method == "dense" or (method == "auto" and (n <= DENSE_LIMIT or m >= n - 1)):
         try:
-            values, vecs = np.linalg.eigh(op.dense())
+            values, vecs = np.linalg.eigh(op.matrix.toarray())
         except np.linalg.LinAlgError as exc:
             raise SolverError("dense eigensolver failed: %s" % exc) from exc
         values, vecs = values[:m], vecs[:, :m]
@@ -278,7 +275,7 @@ def dirichlet_form(op: LaplacianOperator, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.n,):
         raise InvalidInputError("u must have length n=%d" % op.n)
-    rows, cols, w = op.graph.edge_arrays()
-    diff = u[rows] - u[cols]
-    total = float(np.dot(w, diff * diff))  # ordered pairs: both (i,j) and (j,i)
+    edges = op.graph.weights.tocoo()
+    diff = u[edges.row] - u[edges.col]
+    total = float(np.dot(edges.data, diff * diff))  # ordered pairs: both (i,j) and (j,i)
     return total * op.scale / (2.0 * op.n)

@@ -281,7 +281,7 @@ tuning.C0 = 0.0001
         def boom(args, out_dir, entries):
             raise SolverError("no convergence", worst_residual=1.0)
 
-        monkeypatch.setitem(cli._HANDLERS, "sweep", boom)
+        monkeypatch.setitem(cli._COMMANDS, "sweep", (boom, *cli._COMMANDS["sweep"][1:]))
         assert run_cli("sweep", "--config", cfg, "--out", out) == 4
         record = Path(os.path.join(out, "error.txt")).read_text()
         assert "kind = solver" in record
@@ -515,6 +515,19 @@ class TestEigenCommand:
                        "--out", str(out)) == 0
         assert (out / "eigen.csv").exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("eigen", "epsilon = 0.5\nm = 4\n"), ("fit", "K = 3\nepsilon = 0.5\n")])
+    def test_a_sample_file_without_a_header_exits_2(self, tmp_path, command, config):
+        x = np.linspace(0.0, 4.9, 50)
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([x, np.sin(x)]), delimiter=",")
+        cfg = write(tmp_path / "e.txt", "data = %s\n%s" % (path, config))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        message = cfgmod.parse_text((out / "error.txt").read_text())["message"].value
+        assert str(path) in message and "header row" in message
+        assert not (out / ("%s.csv" % command)).exists()
+
     def test_generated_design_lambda1(self, tmp_path):
         cfg = write(tmp_path / "e.txt", """\
 n = 300
@@ -566,7 +579,7 @@ m = 10
                                    KernelSpec("truncated_gaussian")))
         assert op.graph.components.component_count == 13
         assert np.count_nonzero(values == 0.0) == 13
-        dense = np.linalg.eigvalsh(op.dense())[:16]
+        dense = np.linalg.eigvalsh(op.matrix.toarray())[:16]
         assert np.max(np.abs(values - dense)) <= 1e-10 * 2.0 * op.matrix.diagonal().max()
 
     @pytest.mark.parametrize("n, solver", [(300, "eigh"), (600, "eigsh")])
@@ -763,6 +776,18 @@ def test_rerun_from_the_echo_is_byte_identical(tmp_path, command):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_negative_zero_survives_the_echo(tmp_path):
+    # "-0" would read back as the integer 0, and the rerun would echo "0"
+    cfg = write(tmp_path / "in.txt", "n = 50\nseed = 1\ndesign.low = -0.0\nepsilon = 0.5\n")
+    first, second = tmp_path / "o1", tmp_path / "o2"
+    assert run_cli("eigen", "--config", cfg, "--out", str(first)) == 0
+    assert run_cli("eigen", "--config", str(first / "config_echo.txt"),
+                   "--out", str(second)) == 0
+    echo = (first / "config_echo.txt").read_text()
+    assert "design.low = -0.0\n" in echo
+    assert (second / "config_echo.txt").read_text() == echo
+
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
@@ -824,7 +849,8 @@ class TestBlasThreads:
             return wrapper
 
         for name in ("eigen", "fit", "gridsearch"):
-            monkeypatch.setitem(cli._HANDLERS, name, spying(name, cli._HANDLERS[name]))
+            handler, *rest = cli._COMMANDS[name]
+            monkeypatch.setitem(cli._COMMANDS, name, (spying(name, handler), *rest))
         x = np.linspace(0, 4, 30)
         SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
         configs = {
@@ -897,4 +923,4 @@ def test_public_names_resolve():
     for name in fracreg.__all__:
         getattr(fracreg, name)
     for name in cli._SOLVER_NAMES:
-        getattr(cli, name)
+        assert getattr(cli, name) is getattr(fracreg, name)

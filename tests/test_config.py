@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracreg import config as cfgmod
@@ -27,13 +27,15 @@ def same_value(got, want):
         return (isinstance(got, list) and len(got) == len(want)
                 and all(same_value(g, w) for g, w in zip(got, want)))
     if isinstance(want, float):
-        # 1.0 is written "1" and reads back as the integer 1
-        return not isinstance(got, (bool, str)) and float(got) == want
+        # 1.0 is written "1" and reads back as the integer 1; -0.0 keeps its sign
+        return (not isinstance(got, (bool, str)) and float(got) == want
+                and math.copysign(1.0, got) == math.copysign(1.0, want))
     return type(got) is type(want) and got == want
 
 
 @ROUND_TRIP
 @given(st.dictionaries(KEYS, VALUES, max_size=6))
+@example({"a": -0.0, "b": [-0.0, 5.0]})
 def test_parse_inverts_serialize(mapping):
     text = cfgmod.serialize(mapping)
     entries = cfgmod.parse_text(text)
@@ -52,6 +54,25 @@ def test_string_with_a_double_quote_is_refused():
     # written bare it would read back cut at the '#': k = "a"#b" -> a
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.serialize({"k": 'a"#b'})
+
+
+@pytest.mark.parametrize("text, want", [
+    ('n = 50 # the "small" case', {"n": 50}),
+    ('n = "a#b" # c', {"n": "a#b"}),
+    ('n = "a" "b" # c', {"n": 'a" "b'}),
+    ('n = "a # b', {"n": '"a # b'}),  # an unclosed quote: nothing is a comment
+    ('n = a"b # c', {"n": 'a"b # c'}),
+    ('# full "line"\n  # "a" # b', {}),
+])
+def test_a_comment_starts_at_the_first_hash_outside_quotes(text, want):
+    assert {key: entry.value for key, entry in cfgmod.parse_text(text).items()} == want
+
+
+def test_negative_zero_is_written_as_a_float():
+    assert cfgmod.serialize({"a": -0.0, "b": [0.0, -0.0], "c": 5.0}) == \
+        "a = -0.0\nb = [0, -0.0]\nc = 5\n"
+    value = cfgmod.parse_text("a = -0.0\n")["a"].value
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 def test_strings_that_read_as_other_values_are_quoted():

@@ -117,7 +117,7 @@ class TestArtifacts:
                     SweepFailure(n=np.int64(625), rep=0, message="plain"))
         report = ExperimentReport(
             records=records, failures=failures, n_values=(500, np.int64(625), 750),
-            mean_mse_per_n=tuple(EDGE_FLOATS[:3]), disconnected_fraction=(0.0,) * 3,
+            mean_mse_per_n=tuple(EDGE_FLOATS[:3]),
             excluded_n=(), fitted_slope=float("nan"), slope_stderr=float("nan"),
             theoretical_slope=np.float64(-0.4),
         )

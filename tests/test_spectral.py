@@ -52,7 +52,7 @@ class TestLaplacian:
     def test_path3_matrix_hand_assembled(self):
         op = path3_operator()
         unscaled = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        np.testing.assert_allclose(op.dense(), unscaled / 3.0, atol=1e-15)
+        np.testing.assert_allclose(op.matrix.toarray(), unscaled / 3.0, atol=1e-15)
         assert op.scale == pytest.approx(1.0 / 3.0)
 
     def test_constant_in_kernel(self):
@@ -150,7 +150,7 @@ class TestEigensolve:
     def test_no_convergence_residual_reads_the_vectors_in_rcm_order(self, monkeypatch):
         # ARPACK hands back its partial pairs in the order it iterated in
         op = random_geometric_operator(18, n=600, eps=0.15)
-        values, vectors = np.linalg.eigh(op.dense())
+        values, vectors = np.linalg.eigh(op.matrix.toarray())
         perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
 
         def stalled(A, k, **kwargs):
@@ -205,7 +205,7 @@ class TestEigensolve:
         op = random_geometric_operator(8, n=150)
         eig = eigensolve(op, op.n)
         rebuilt = (eig.vectors * eig.values) @ eig.vectors.T / op.n
-        err = np.linalg.norm(rebuilt - op.dense())
+        err = np.linalg.norm(rebuilt - op.matrix.toarray())
         assert err < 1e-8
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
@@ -317,7 +317,7 @@ class TestEigensolve:
         # 12 components at m = 20 leave 8 places for positive pairs; one pair
         # of the 8 comes back negative, which no PSD Laplacian has
         op = twelve_clusters()
-        values, vectors = np.linalg.eigh(op.dense())
+        values, vectors = np.linalg.eigh(op.matrix.toarray())
         values[12] = -values[12]
         perm = csgraph.reverse_cuthill_mckee(op.matrix, symmetric_mode=True)
         monkeypatch.setattr(spectral.spla, "eigsh",
@@ -342,7 +342,7 @@ class TestEigensolve:
         eig = eigensolve(op, m)
         assert components >= 2 and n > spectral.DENSE_LIMIT
         assert np.count_nonzero(eig.values == 0.0) == min(components, m)
-        dense = np.linalg.eigvalsh(op.dense())[:m]
+        dense = np.linalg.eigvalsh(op.matrix.toarray())[:m]
         assert np.max(np.abs(eig.values - dense)) <= spectral._REL_TOL * g
 
     def test_components_within_m_fill_the_kernel(self):
