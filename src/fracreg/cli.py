@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -151,21 +152,15 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
 
 
 def function_to_mapping(fn: sobolev.TestFunction) -> dict:
-    """Serialize a test function as function.* keys in the config format."""
-    out = {"function.family": fn.family, "function.domain": [fn.domain[0], fn.domain[1]]}
-    if fn.family == "power":
-        out["function.alpha"] = fn.alpha
-    elif fn.family == "piecewise_constant":
-        out["function.breakpoints"] = list(fn.breakpoints)
-        out["function.values"] = list(fn.values)
-    elif fn.family == "piecewise_polynomial":
-        out["function.breakpoints"] = list(fn.breakpoints)
-        for i, piece in enumerate(fn.coefficients):
-            out["function.coeff_%d" % i] = list(piece)
-    else:
-        out["function.centers"] = list(fn.centers)
-        out["function.heights"] = list(fn.heights)
-        out["function.widths"] = list(fn.widths)
+    """Serialize a test function as function.* keys in the config format: every
+    field the family sets, one function.coeff_<i> key per coefficient piece."""
+    out = {}
+    for field in dataclasses.fields(fn):
+        value = getattr(fn, field.name)
+        if field.name == "coefficients":
+            out.update(("function.coeff_%d" % i, piece) for i, piece in enumerate(value))
+        elif value not in (None, ()):  # a field the family leaves unset
+            out["function." + field.name] = value
     return out
 
 
@@ -233,9 +228,9 @@ def _cmd_sweep(args, out_dir, view):
                           % (len(report.failures), report.failures[0].message))
     if report.curve is not None:
         report.curve.write_csv(os.path.join(out_dir, "curve.csv"))
-    print("sweep: %d records, %d failures, slope %.6g (theory %.6g)"
+    print("sweep: %d records, %d failures, slope %.6g +/- %.6g (theory %.6g)"
           % (len(report.records), len(report.failures),
-             report.fitted_slope, report.theoretical_slope))
+             report.fitted_slope, report.slope_stderr, report.theoretical_slope))
 
 
 def _cmd_gridsearch(args, out_dir, view):
@@ -243,23 +238,17 @@ def _cmd_gridsearch(args, out_dir, view):
     from fracreg.experiments import generate
 
     config = _experiment_config_from_view(view, single_n=True)
-    if config.k_grid is None:
-        raise ConfigError("gridsearch requires grids.k and grids.eps", key="grids.k")
     _write_echo(out_dir, view)
 
     n = config.n_grid[0]
-    samples = generate(config, n, 0)
-    truth_values = config.truth_function()(samples.points[:, 0])
+    samples, truth_values = generate(config, n, 0)
     result = grid_search(samples, *config.search_grid(n), config.kernel, truth_values)
     result.save_csv(os.path.join(out_dir, "surface.csv"))
+    best = result.best_fit
     with open(os.path.join(out_dir, "best.txt"), "w") as fh:
-        fh.write(cfg.serialize({
-            "best_K": result.best_fit.K,
-            "best_epsilon": result.best_fit.epsilon,
-            "best_mse": result.best_mse,
-        }))
-    print("gridsearch: best K=%d epsilon=%.6g mse=%.6g"
-          % (result.best_fit.K, result.best_fit.epsilon, result.best_mse))
+        fh.write(cfg.serialize({"best_K": best.K, "best_epsilon": best.epsilon,
+                                "best_mse": result.best_mse}))
+    print("gridsearch: best K=%d epsilon=%.6g mse=%.6g" % (best.K, best.epsilon, result.best_mse))
 
 
 def _cmd_fit(args, out_dir, view):
@@ -278,12 +267,9 @@ def _cmd_fit(args, out_dir, view):
     if samples.responses is None:
         raise InvalidInputError("%s: fit needs a response column" % data_path)
     result = fit(samples, K, epsilon, kernel)
-    metadata = {"kernel": kernel.family, "kernel_h": kernel.h}
-    if meta_s is not None:
-        metadata["s"] = meta_s
-    if meta_M is not None:
-        metadata["M"] = meta_M
-    result.save_csv(os.path.join(out_dir, "fit.csv"), samples, metadata)
+    metadata = {"kernel": kernel.family, "kernel_h": kernel.h, "s": meta_s, "M": meta_M}
+    result.save_csv(os.path.join(out_dir, "fit.csv"), samples,
+                    {key: value for key, value in metadata.items() if value is not None})
     print("fit: n=%d K=%d epsilon=%.6g connected=%s components=%d"
           % (samples.n, K, epsilon, result.connected, result.component_count))
 
@@ -361,10 +347,11 @@ def _cmd_eigen(args, out_dir, view):
 
 def _cmd_zoo(args, out_dir, view):
     _write_echo(out_dir, view)
-    for name, fn in sorted(sobolev.zoo().items()):
+    table = sobolev.zoo()
+    for name, fn in sorted(table.items()):
         with open(os.path.join(out_dir, "%s.txt" % name), "w") as fh:
             fh.write(cfg.serialize(function_to_mapping(fn)))
-    print("zoo: wrote %d function definitions" % len(sobolev.zoo()))
+    print("zoo: wrote %d function definitions" % len(table))
 
 
 # One row per command: its handler; whether it computes with BLAS, which
@@ -429,7 +416,7 @@ def main(argv=None) -> int:
         code, kind, err = EXIT_TUNING, "tuning", exc
     except SolverError as exc:
         code, kind, err = EXIT_SOLVER, "solver", exc
-    except (ConfigError, InvalidInputError) as exc:
+    except InvalidInputError as exc:  # ConfigError included
         code, kind, err = EXIT_INPUT, "input", exc
     except OSError as exc:
         code, kind, err = EXIT_IO, "io", exc

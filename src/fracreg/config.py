@@ -122,11 +122,9 @@ def _format_scalar(value) -> str:
 
 
 def serialize(mapping: dict) -> str:
-    """Render key -> value (Entry values or plain values) back to config text."""
+    """Render key -> plain value back to config text."""
     lines = []
     for key, value in mapping.items():
-        if isinstance(value, Entry):
-            value = value.value
         if isinstance(value, (list, tuple)):
             body = ", ".join(_format_scalar(v) for v in value)
             lines.append("%s = [%s]" % (key, body))

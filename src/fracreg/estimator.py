@@ -69,8 +69,11 @@ def choose_K(rule: TuningRule, n: int, dim: int) -> int:
         raise InvalidInputError("n must be at least 1")
     if dim < 1:
         raise InvalidInputError("dimension must be at least 1")
-    x = (rule.M ** 2 * n) ** (dim / (2.0 * rule.s + dim))
-    return min(max(_snap_floor(x), 1), n)
+    try:
+        x = (rule.M ** 2 * n) ** (dim / (2.0 * rule.s + dim))
+    except OverflowError:  # M^2 beyond the float range: K is capped at n
+        x = math.inf
+    return max(_snap_floor(min(x, n)), 1)
 
 
 @dataclass(frozen=True)
@@ -171,12 +174,15 @@ def grid_search(
         graph = build_graph(samples, eps, kernel)
         eig = eigensolve(laplacian(graph), mmax)
         fits = eig.partial_fits(y, K_grid)
-        surface[:, j] = np.mean((fits - truth) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an MSE beyond the float range reads inf
+            surface[:, j] = np.mean((fits - truth) ** 2, axis=1)
         for K, mse, fitted in zip(K_grid, surface[:, j].tolist(), fits):
             key = (mse, K, eps)
             if best is None or key < best:
                 best, winner = key, (graph, eig, fitted)
     best_mse, K_best, eps_best = best
+    if not best_mse < math.inf:
+        raise InvalidInputError("the in-sample MSE overflows the float range at every grid cell")
     graph, eig, fitted = winner
     return GridSearchResult(
         best_fit=RegressionFit(fitted, K_best, eps_best, eig, graph.components.component_count),

@@ -21,8 +21,8 @@ import numpy as np
 from fracreg.csvout import write_csv
 from fracreg.errors import FracregError, InvalidInputError
 from fracreg.estimator import TuningRule, grid_search
-from fracreg.graph import KernelSpec, SampleSet, build_graph
-from fracreg.sobolev import TestFunction, zoo_function
+from fracreg.graph import KernelSpec, SampleSet, build_graph, check_bandwidth
+from fracreg.sobolev import zoo_function
 from fracreg.spectral import eigensolve, laplacian
 
 # Offset added to the repetition index for the single retry stream of a
@@ -114,8 +114,11 @@ class ExperimentConfig:
                 "of truth %s" % (self.design_low, self.design_high, a, b, self.truth)
             )
         for n in self.n_grid:  # an empty rule window raises TuningError here
-            if not self.search_grid(n)[0]:
+            k_grid, eps_grid = self.search_grid(n)
+            if not k_grid:
                 raise InvalidInputError("k_grid has no entry at most n = %d" % n)
+            for eps in eps_grid:
+                check_bandwidth(eps, n, 1)  # the designs are 1-D
 
     def search_grid(self, n: int) -> tuple:
         """(K grid, epsilon grid) of a sweep job at n: the rule's one cell, or
@@ -124,9 +127,6 @@ class ExperimentConfig:
             K, eps = self.tuning.resolve(n, 1)  # the designs are 1-D
             return [K], [eps]
         return [k for k in self.k_grid if k <= n], list(self.eps_grid)
-
-    def truth_function(self) -> TestFunction:
-        return zoo_function(self.truth)
 
 
 def _stream(seed: int, n: int, rep_index: int) -> np.random.Generator:
@@ -140,14 +140,13 @@ def draw_design(seed: int, n: int, rep_index: int, low: float, high: float) -> n
     return _stream(seed, n, rep_index).uniform(low, high, n)
 
 
-def generate(config: ExperimentConfig, n: int, rep_index: int) -> SampleSet:
-    """Draw one synthetic sample set for (n, rep_index), deterministically."""
+def generate(config: ExperimentConfig, n: int, rep_index: int):
+    """Draw (samples, the truth at the design points) for (n, rep_index), deterministically."""
     rng = _stream(config.seed, n, rep_index)
     x = rng.uniform(config.design_low, config.design_high, n)
-    f = config.truth_function()
-    truth = f(x)
+    truth = zoo_function(config.truth)(x)
     noise = config.noise_sd * rng.standard_normal(n)
-    return SampleSet(points=x[:, None], responses=truth + noise)
+    return SampleSet(points=x[:, None], responses=truth + noise), truth
 
 
 @dataclass(frozen=True)
@@ -227,11 +226,9 @@ def _sweep_job(config: ExperimentConfig, n: int, rep: int):
     (SweepRecord, (design, truth, fitted values)) of the stream that succeeded,
     first or retry, or (SweepFailure, None).  The record carries whether the
     winning graph was connected."""
-    f = config.truth_function()
     for rep_index in (rep, rep + _RETRY_OFFSET):  # one redraw, then record the failure
         try:
-            samples = generate(config, n, rep_index)
-            truth_values = f(samples.points[:, 0])
+            samples, truth_values = generate(config, n, rep_index)
             search = grid_search(samples, *config.search_grid(n), config.kernel, truth_values)
         except _RETRYABLE as exc:
             error = exc
@@ -352,18 +349,13 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
     records = [o for o in outcomes if isinstance(o, SweepRecord)]
     failures = [o for o in outcomes if isinstance(o, SweepFailure)]
 
-    n_values, means, disc = [], [], []
-    for n in config.n_grid:
-        here = [r for r in records if r.n == n]
-        if not here:
-            continue
-        n_values.append(n)
-        means.append(float(np.mean([r.mse for r in here])))
-        disc.append(float(np.mean([0.0 if r.connected else 1.0 for r in here])))
-
+    by_n = {n: [r for r in records if r.n == n] for n in config.n_grid}
+    n_values = [n for n in config.n_grid if by_n[n]]
+    means = [float(np.mean([r.mse for r in by_n[n]])) for n in n_values]
+    smallest = by_n[config.n_grid[0]]
     excluded = []
-    if n_values and n_values[0] == config.n_grid[0] and disc[0] > _DISCONNECT_EXCLUSION:
-        excluded.append(n_values[0])
+    if smallest and np.mean([not r.connected for r in smallest]) > _DISCONNECT_EXCLUSION:
+        excluded.append(config.n_grid[0])
     keep = [i for i, n in enumerate(n_values) if n not in excluded and means[i] > 0.0]
     slope, stderr = _ols_slope(np.log(np.asarray([n_values[i] for i in keep], dtype=float)),
                                np.log(np.asarray([means[i] for i in keep], dtype=float)))
@@ -412,8 +404,6 @@ def eigenvalue_growth_diagnostic(config: ExperimentConfig, n: int, m: int) -> Gr
     cap the spectrum plateaus at a constant times eps^-2, which is reported
     as cap_constant = max lambda * eps^2.
     """
-    if m > n:
-        raise InvalidInputError("m must not exceed n")
     x = draw_design(config.seed, n, 0, config.design_low, config.design_high)
     grid = sorted(config.search_grid(n)[1])
     eps = grid[len(grid) // 2]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +144,9 @@ class KernelSpec:
                 "unknown kernel family %r (choose from %s)"
                 % (self.family, ", ".join(KERNEL_FAMILIES))
             )
-        if self.family == "truncated_gaussian" and not self.h > 0:
-            raise InvalidInputError("truncated_gaussian shape h must be positive")
+        if self.family == "truncated_gaussian" and not self.h >= math.sqrt(sys.float_info.min):
+            raise InvalidInputError("truncated_gaussian shape h must be positive, with h^2 a "
+                                    "normal float (the weights divide by 2 h^2)")
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -211,8 +213,9 @@ class NeighborGraph:
 def brute_force_pairs(points: np.ndarray, epsilon: float):
     """All (i, j), i < j, with distance at most epsilon, in row-major order, by an O(n^2) scan."""
     n = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf, beyond epsilon
+        diff = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu, ju = np.triu_indices(n, k=1)
     mask = dist[iu, ju] <= epsilon
     return iu[mask], ju[mask], dist[iu, ju][mask]
@@ -231,14 +234,25 @@ def _indexed_pairs(points: np.ndarray, epsilon: float):
     return i, j, dist
 
 
+def check_bandwidth(epsilon: float, n: int, dim: int):
+    """Refuse an epsilon at which the Laplacian's scale 1/(n eps^(d+2)) cannot be formed:
+    eps > 0, eps^(d+2) a normal float (no scaled entry overflows), n eps^(d+2) finite."""
+    try:
+        power = float(epsilon) ** (dim + 2)
+    except OverflowError:
+        power = math.inf
+    if not (epsilon > 0 and power >= sys.float_info.min and n * power < math.inf):
+        raise InvalidInputError("epsilon = %.17g is out of range: the Laplacian's scale 1/(n "
+                                "epsilon^%d) at n = %d cannot be formed" % (epsilon, dim + 2, n))
+
+
 def build_graph(samples: SampleSet, epsilon: float, kernel: KernelSpec) -> NeighborGraph:
     """Build the epsilon-neighborhood graph with kernel weights.
 
     An edge (i, j), i != j, carries weight eta(|X_i - X_j| / epsilon) exactly
     when that value is positive (after the storage floor).
     """
-    if not 0 < epsilon < math.inf:
-        raise InvalidInputError("epsilon must be positive and finite")
+    check_bandwidth(epsilon, samples.n, samples.dim)
     pts = samples.points
     n = samples.n
     if n <= BRUTE_FORCE_LIMIT:

@@ -78,8 +78,9 @@ class TestFunction:
             pieces = len(bp) - 1
             if self.family == "piecewise_constant" and len(self.values) != pieces:
                 raise InvalidInputError("need one value per piece")
-            if self.family == "piecewise_polynomial" and len(self.coefficients) != pieces:
-                raise InvalidInputError("need one coefficient list per piece")
+            if self.family == "piecewise_polynomial" and (
+                    len(self.coefficients) != pieces or not all(self.coefficients)):
+                raise InvalidInputError("need one non-empty coefficient list per piece")
         else:
             if not (len(self.centers) == len(self.heights) == len(self.widths)) or not self.centers:
                 raise InvalidInputError("bumps need matching centers, heights, widths")
@@ -255,9 +256,12 @@ def continuum_seminorm(fn: TestFunction, s: float, refinement: int = 12) -> Semi
     if not 7 <= refinement <= MAX_REFINEMENT:
         raise InvalidInputError("refinement level must lie in [7, %d]" % MAX_REFINEMENT)
     N = 1 << refinement
-    kh, terms, lag, offsets = _level_table(fn, refinement)
-    weights = kh ** (-1.0 - 2.0 * s)
-    seq = 2.0 * np.add.reduceat(terms * weights[lag], offsets)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kh, terms, lag, offsets = _level_table(fn, refinement)
+        weights = kh ** (-1.0 - 2.0 * s)
+        seq = 2.0 * np.add.reduceat(terms * weights[lag], offsets)
+    if not np.all(np.isfinite(seq)):
+        raise InvalidInputError("the quadrature sums of this function leave the float range")
     cells = (N - 1) * (N - 2)  # included ordered cell pairs at the finest level
 
     inc = np.diff(seq)  # refinement >= 7: at least 4 sums, 3 increments

@@ -12,6 +12,7 @@ from fracreg import cli
 from fracreg import config as cfgmod
 from fracreg import experiments, spectral
 from fracreg.errors import SolverError
+from fracreg.estimator import TuningRule
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import zoo
 from fracreg.spectral import DENSE_LIMIT, _kernel_basis, eigensolve, laplacian
@@ -60,12 +61,10 @@ class TestConfigFormat:
         assert err.value.line == 1
 
     def test_round_trip_identity(self):
-        entries = cfgmod.parse_text(SWEEP_CONFIG)
-        text = cfgmod.serialize(entries)
-        again = cfgmod.parse_text(text)
-        assert {k: v.value for k, v in entries.items()} == {
-            k: v.value for k, v in again.items()
-        }
+        values = {k: v.value for k, v in cfgmod.parse_text(SWEEP_CONFIG).items()}
+        text = cfgmod.serialize(values)
+        again = {k: v.value for k, v in cfgmod.parse_text(text).items()}
+        assert values == again
         # a second round trip is byte-stable
         assert cfgmod.serialize(again) == text
 
@@ -691,6 +690,85 @@ def test_non_finite_response_exits_2(tmp_path, command):
     assert not (out / "fit.csv").exists() and not (out / "eigen.csv").exists()
 
 
+# A small run of each command and every float key it reads.  A list key gets
+# the value as its first entry.
+_PIECES = "function.breakpoints = [0, 1, 2]\nfunction.domain = [0, 2]\n"
+FLOAT_KEY_RUNS = {
+    "eigen-drawn": ("eigen", "n = 60\nseed = 1\nepsilon = 0.5\nm = 4\n",
+                    ["design.low", "design.high", "kernel.h", "epsilon"]),
+    "eigen-rule": ("eigen", "n = 60\nseed = 1\ntuning.s = 0.45\ntuning.M = 1.0\nm = 4\n",
+                   ["tuning.s", "tuning.M", "tuning.c0", "tuning.C0"]),
+    "eigen-data": ("eigen", "data = {data}\nepsilon = 0.5\nm = 4\n", ["kernel.h", "epsilon"]),
+    "eigen-data-rule": ("eigen", "data = {data}\ntuning.s = 0.45\ntuning.M = 1.0\nm = 4\n",
+                        ["tuning.s", "tuning.M", "tuning.c0", "tuning.C0"]),
+    "fit": ("fit", "data = {data}\nK = 3\nepsilon = 0.8\nmeta.s = 0.45\nmeta.M = 1.0\n",
+            ["epsilon", "kernel.h", "meta.s", "meta.M"]),
+    "sweep-rule": ("sweep", "truth = f2\nn_grid = [40, 60]\nrepetitions = 1\n"
+                   "tuning.s = 0.45\ntuning.M = 1.0\n",
+                   ["noise_sd", "design.low", "design.high", "kernel.h",
+                    "tuning.s", "tuning.M", "tuning.c0", "tuning.C0"]),
+    "sweep-grids": ("sweep", "truth = f2\nn_grid = [40, 60]\nrepetitions = 1\n"
+                    "grids.k = [1, 4]\ngrids.eps = [0.5, 1.0]\ntheory_s = 0.45\n",
+                    ["noise_sd", "design.low", "design.high", "kernel.h", "grids.eps",
+                     "theory_s"]),
+    "seminorm-truth": ("seminorm", "truth = f3\ns = 0.3\nlevel = 7\n", ["s"]),
+    "seminorm-power": ("seminorm", "function.family = power\nfunction.alpha = 0.5\n"
+                       "function.domain = [-1, 1]\ns = 0.3\nlevel = 7\n",
+                       ["function.alpha", "function.domain", "s"]),
+    "seminorm-constant": ("seminorm", "function.family = piecewise_constant\n" + _PIECES
+                          + "function.values = [1, 2]\ns = 0.3\nlevel = 7\n",
+                          ["function.breakpoints", "function.domain", "function.values"]),
+    "seminorm-polynomial": ("seminorm", "function.family = piecewise_polynomial\n" + _PIECES
+                            + "function.coeff_0 = [1, 2]\nfunction.coeff_1 = [0, 1]\n"
+                            "s = 0.3\nlevel = 7\n",
+                            ["function.breakpoints", "function.coeff_0", "function.coeff_1"]),
+    "seminorm-bumps": ("seminorm", "function.family = bumps\nfunction.centers = [1, 2]\n"
+                       "function.heights = [1, -1]\nfunction.widths = [0.2, 0.3]\n"
+                       "function.domain = [0, 5]\ns = 0.3\nlevel = 7\n",
+                       ["function.centers", "function.heights", "function.widths",
+                        "function.domain"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FLOAT_KEY_RUNS))
+def test_no_input_ends_in_a_traceback(tmp_path, run):
+    command, config, keys = FLOAT_KEY_RUNS[run]
+    rng = np.random.default_rng(2)
+    x = np.sort(rng.uniform(0, 5, 40))
+    SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
+    cfg = write(tmp_path / "c.txt", config.format(data=tmp_path / "data.csv"))
+    entries = cfgmod.parse_text(Path(cfg).read_text())
+    for key in keys:
+        for value in ("1e-300", "5e-321", "1e300", "-1e300"):
+            given = entries[key].value if key in entries else None
+            if isinstance(given, list):
+                value = "[%s]" % ", ".join([value] + [str(v) for v in given[1:]])
+            out = tmp_path / ("%s=%s" % (key, value))
+            code = run_cli(command, "--config", cfg, "--out", str(out), "--threads", "1",
+                           "--set", "%s=%s" % (key, value))
+            assert code in (0, 2, 3, 4, 5), (key, value)
+            assert code == 0 or (out / "error.txt").exists(), (key, value)
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("eigen", "n = 300\nseed = 1\nepsilon = 1e-300\n", 2),
+    ("eigen", "n = 300\nseed = 1\nepsilon = 1e300\n", 2),
+    ("sweep", SWEEP_CONFIG.replace("[0.5, 1.0]", "[1e-300]"), 2),
+    ("eigen", "n = 500\nseed = 1\ntuning.s = 0.45\ntuning.M = 1e200\n", 3),
+    ("eigen", "n = 500\nseed = 1\ntuning.s = 0.45\ntuning.M = 1e154\n", 3),
+    ("seminorm", "function.family = piecewise_polynomial\nfunction.breakpoints = [0, 1]\n"
+                 "function.coeff_0 = []\ns = 0.3\n", 2),
+], ids=["eps-underflow", "eps-overflow", "sweep-eps-underflow", "M-1e200", "M-1e154",
+        "empty-piece"])
+def test_unformable_inputs_exit_with_their_code(tmp_path, command, config, code):
+    cfg = write(tmp_path / "c.txt", config)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out), "--threads", "1") == code
+    record = cfgmod.parse_text((out / "error.txt").read_text())
+    assert record["code"].value == code
+    assert not (out / "records.csv").exists()
+
+
 class TestGridsearchCommand:
     def test_surface_and_best(self, tmp_path):
         cfg = write(tmp_path / "g.txt", """\
@@ -719,6 +797,23 @@ grids.eps = [0.5, 1.0]
             assert run_cli("gridsearch", "--config", cfg, "--out", str(out)) == 0
             surfaces.append((out / "surface.csv").read_bytes())
         assert surfaces[0] == surfaces[1]
+
+    def test_a_rule_is_searched_as_its_one_cell(self, tmp_path):
+        # the cell a sweep job at n searches, scored against the same truth
+        rule = "truth = f2\nseed = 4\ntuning.s = 0.45\ntuning.M = 1.0\n"
+        cfg = write(tmp_path / "g.txt", rule + "n = 200\n")
+        assert run_cli("gridsearch", "--config", cfg, "--out", str(tmp_path / "g")) == 0
+        K, eps = TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0).resolve(200, 1)
+        surface = (tmp_path / "g" / "surface.csv").read_text().splitlines()
+        assert surface[0] == "K,epsilon,mse" and len(surface) == 2
+        assert surface[1].split(",")[:2] == ["%d" % K, "%.17g" % eps]
+        sweep = write(tmp_path / "s.txt", rule + "n_grid = [200]\nrepetitions = 1\n")
+        assert run_cli("sweep", "--config", sweep, "--out", str(tmp_path / "s"),
+                       "--threads", "1") == 0
+        best = cfgmod.parse_text((tmp_path / "g" / "best.txt").read_text())
+        record = (tmp_path / "s" / "records.csv").read_text().splitlines()[1].split(",")
+        assert record[:2] == ["200", "0"]
+        assert float(record[4]) == best["best_mse"].value
 
     @pytest.mark.parametrize("grid, words", [
         ("grids.k = [-1, 4]\ngrids.eps = [0.5]\n",

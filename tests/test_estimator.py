@@ -75,6 +75,11 @@ class TestTuning:
         M = n ** (s / d) + 1.0
         assert choose_K(TuningRule(s=s, M=M), n, d) == n
 
+    @pytest.mark.parametrize("M", [1e154, 1e200, 1.7e308])
+    def test_choose_k_is_n_when_the_formula_leaves_the_float_range(self, M):
+        # M^2 n overflows to inf at 1e154 and M^2 itself at 1e200
+        assert choose_K(TuningRule(s=0.45, M=M), 500, 1) == 500
+
     def test_choose_k_exact_integer_power(self):
         # 4096^(1/2) = 64 exactly; the floor must not lose it to rounding
         assert choose_K(TuningRule(s=0.5, M=1.0), 4096, 1) == 64
@@ -143,7 +148,7 @@ class TestFit:
         # projects onto part of the kernel, which must not hang on the order
         config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
                                   tuning=TuningRule(s=0.4, M=1.0))
-        s = generate(config, 100, 1)
+        s, _ = generate(config, 100, 1)
         K, eps = config.tuning.resolve(100, 1)
         perm = np.random.default_rng(7).permutation(100)
         res = fit(s, K, eps, KERNEL)
@@ -158,7 +163,7 @@ class TestFit:
         # rule-tuned f2 sample with 29 components: the solver builds its kernel basis from them too
         config = ExperimentConfig(truth="f2", n_grid=(100,), repetitions=1, seed=1,
                                   tuning=TuningRule(s=0.4, M=1.0))
-        s = generate(config, 100, 1)
+        s, truth = generate(config, 100, 1)
         K, eps = config.tuning.resolve(100, 1)
         calls = []
         real = graph_module.connectivity_check
@@ -170,7 +175,7 @@ class TestFit:
         monkeypatch.setattr(graph_module, "connectivity_check", counting)
         assert fit(s, K, eps, KERNEL).component_count == 29
         assert len(calls) == 1
-        grid_search(s, [K], [eps], KERNEL, config.truth_function()(s.points[:, 0]))
+        grid_search(s, [K], [eps], KERNEL, truth)
         assert len(calls) == 2
 
     def test_k0_zero_fit(self):
@@ -305,6 +310,11 @@ class TestGridSearch:
         assert np.all(res.mse_surface == res.mse_surface[0, 0])
         assert res.best_fit.K == 1
         assert res.best_fit.epsilon == 0.5
+
+    def test_an_mse_beyond_the_float_range_is_refused(self):
+        s = SampleSet(np.linspace(0.0, 1.0, 20)[:, None], np.full(20, 1e300))
+        with pytest.raises(InvalidInputError, match="overflows"):
+            grid_search(s, [1], [0.5], KERNEL, np.full(20, -1e300))
 
     def test_surface_follows_grid_order(self):
         s = uniform_instance(9, n=40)

@@ -14,6 +14,7 @@ from fracreg.experiments import (
     run_sweep,
 )
 from fracreg.graph import KernelSpec
+from fracreg.sobolev import zoo_function
 
 KERNEL = KernelSpec("truncated_gaussian")
 
@@ -107,28 +108,30 @@ class TestSearchGrid:
 class TestGenerate:
     def test_determinism_bit_identical(self):
         cfg = grid_config()
-        a = generate(cfg, 50, 3)
-        b = generate(cfg, 50, 3)
+        (a, a_truth), (b, b_truth) = generate(cfg, 50, 3), generate(cfg, 50, 3)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.responses, b.responses)
+        assert np.array_equal(a_truth, b_truth)
 
     def test_streams_differ_across_reps_and_n(self):
         cfg = grid_config()
-        a = generate(cfg, 50, 0)
-        b = generate(cfg, 50, 1)
-        c = generate(cfg, 52, 0)
+        a, _ = generate(cfg, 50, 0)
+        b, _ = generate(cfg, 50, 1)
+        c, _ = generate(cfg, 52, 0)
         assert not np.array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points[:50])
 
+    def test_truth_is_the_truth_at_the_design(self):
+        s, truth = generate(grid_config(), 80, 0)
+        np.testing.assert_array_equal(truth, zoo_function("f2")(s.points[:, 0]))
+
     def test_noiseless_responses_equal_truth(self):
-        cfg = grid_config(noise_sd=0.0)
-        s = generate(cfg, 80, 0)
-        truth = cfg.truth_function()(s.points[:, 0])
+        s, truth = generate(grid_config(noise_sd=0.0), 80, 0)
         np.testing.assert_array_equal(s.responses, truth)
 
     def test_uniform_design_moments(self):
         cfg = grid_config()
-        s = generate(cfg, 100000, 0)
+        s, _ = generate(cfg, 100000, 0)
         x = s.points[:, 0]
         assert abs(x.mean() - 2.5) < 0.02
         assert abs(x.var() - 25.0 / 12.0) < 0.05
@@ -250,8 +253,7 @@ class TestRunSweep:
         from fracreg.estimator import fit
         cfg = grid_config(noise_sd=0.0, k_grid=(6,), eps_grid=(0.8,), n_grid=(50, 60))
         report = run_sweep(cfg)
-        samples = generate(cfg, 50, 0)
-        truth = cfg.truth_function()(samples.points[:, 0])
+        samples, truth = generate(cfg, 50, 0)
         projected = fit(samples, 6, 0.8, KERNEL).eig.partial_fits(truth, [6])[0]
         bias_sq = np.mean((truth - projected) ** 2)
         rec = next(r for r in report.records if r.n == 50 and r.rep == 0)
@@ -266,8 +268,7 @@ class TestRunSweep:
         report = run_sweep(cfg, threads=2)
         assert len(report.records) == 15
         for r in report.records:
-            samples = generate(cfg, r.n, r.rep)
-            truth = cfg.truth_function()(samples.points[:, 0])
+            samples, truth = generate(cfg, r.n, r.rep)
             search = grid_search(samples, cfg.k_grid, cfg.eps_grid, KERNEL, truth)
             assert (r.K, r.epsilon, r.mse) == (search.best_fit.K, search.best_fit.epsilon,
                                                search.best_mse)
@@ -348,8 +349,7 @@ class TestGridTunedJob:
                               tuning=TuningRule(s=0.45, M=1.0, c0=5.0, C0=5.0))
         else:
             cfg = grid_config(n_grid=(n,), eps_grid=eps_grid, k_grid=(1, 4, 8, 16, 32))
-        samples = generate(cfg, n, 0)
-        truth = cfg.truth_function()(samples.points[:, 0])
+        samples, truth = generate(cfg, n, 0)
         searches = []
         monkeypatch.setattr(experiments, "grid_search",
                             lambda *args: searches.append(grid_search(*args)) or searches[-1])
@@ -405,13 +405,11 @@ def refit_curve(config, n, grid, streams=None):
     every repetition's first stream).
     """
     grid = np.asarray(sorted(float(g) for g in grid))
-    f = config.truth_function()
     sum_fit, sum_truth = np.zeros(grid.size), np.zeros(grid.size)
     counts = np.zeros(grid.size, dtype=int)
     for rep_index in range(config.repetitions) if streams is None else streams:
-        samples = generate(config, n, rep_index)
+        samples, truth_values = generate(config, n, rep_index)
         x = samples.points[:, 0]
-        truth_values = f(x)
         with experiments._one_blas_thread():
             res = grid_search(samples, *config.search_grid(n), config.kernel,
                               truth_values).best_fit
@@ -508,7 +506,7 @@ class TestMeanFitCurve:
         )
         grid = np.linspace(0.05, 4.95, 50)
         curve = mean_fit_curve(cfg, 1000, grid)
-        f2 = cfg.truth_function()
+        f2 = zoo_function("f2")
         jumps = (1.0, 2.0, 3.0)
         for x, fit_val in zip(curve.grid, curve.mean_fit):
             if min(abs(x - j) for j in jumps) <= 0.2:

@@ -107,8 +107,10 @@ class TestKernels:
             KernelSpec("gaussian")
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(InvalidInputError):
-            KernelSpec("truncated_gaussian", h=0.0)
+        # at 1e-300 and 5e-321 the weights' divisor 2 h^2 is 0
+        for h in (0.0, -0.4, 1e-300, 5e-321):
+            with pytest.raises(InvalidInputError, match="must be positive"):
+                KernelSpec("truncated_gaussian", h=h)
 
     @pytest.mark.parametrize("kernel", [
         KernelSpec("indicator"), KernelSpec("triangular"), KernelSpec("truncated_gaussian"),
@@ -157,9 +159,19 @@ class TestBuildGraph:
 
     def test_invalid_epsilon(self):
         s = SampleSet(np.array([[0.0], [1.0]]))
-        for eps in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(InvalidInputError):
+        # from 1e-300 on: eps^3 below the smallest normal float, or n eps^3 = 2 eps^3 beyond
+        # the largest, so the Laplacian's scale cannot be formed
+        for eps in (0.0, -1.0, math.inf, math.nan, 1e-300, 5e-321, 1e-103, 1e300, 1e103, 5.5e102):
+            with pytest.raises(InvalidInputError, match="out of range"):
                 build_graph(s, eps, KernelSpec("indicator"))
+        # in 2-D, where eps^4 of a negative eps is positive
+        with pytest.raises(InvalidInputError, match="out of range"):
+            build_graph(SampleSet(np.eye(2)), -1.0, KernelSpec("indicator"))
+
+    def test_squared_distances_beyond_the_float_range_are_no_edge(self):
+        g = build_graph(SampleSet(np.array([[-1e300], [0.0], [0.5], [1e300]])), 1.0,
+                        KernelSpec("indicator"))
+        assert graph_edge_set(g) == {(1, 2)}
 
     def test_graph_invariants(self):
         rng = np.random.default_rng(7)

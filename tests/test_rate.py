@@ -180,9 +180,8 @@ def test_the_rule_at_default_constants_does_not_see_the_design_units():
         ([K], [eps]), (unit_K, unit_eps) = config.search_grid(n), unit_rule.resolve(n, 1)
         assert K == unit_K and eps == pytest.approx(5.0 * unit_eps, rel=1e-15)
         for rep in range(config.repetitions):
-            wide = generate(config, n, rep)
-            unit = SampleSet(wide.points / 5.0, wide.responses)
-            truth = zoo_function("f2")(wide.points[:, 0])  # the rescaled truth on unit too
+            wide, truth = generate(config, n, rep)
+            unit = SampleSet(wide.points / 5.0, wide.responses)  # truth is unit's rescaled truth
             wide_mse = np.mean((fit(wide, K, eps, KERNEL).fitted - truth) ** 2)
             unit_mse.append(np.mean((fit(unit, K, unit_eps, KERNEL).fitted - truth) ** 2))
             assert unit_mse[-1] == pytest.approx(wide_mse, rel=1e-9)  # measured: 2e-13 at most

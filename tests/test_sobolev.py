@@ -44,6 +44,10 @@ class TestEvaluate:
         assert f3(1.5) == pytest.approx(6.5)
         assert f3(4.0) == pytest.approx(0.8)
 
+    def test_an_empty_coefficient_piece_is_refused(self):
+        with pytest.raises(InvalidInputError, match="non-empty coefficient list"):
+            piecewise_polynomial([0.0, 1.0, 2.0], [(1.0,), ()])
+
     def test_power_at_origin(self):
         for alpha in (0.3, 0.5, 0.9):
             assert power_function(alpha)(0.0) == 0.0
@@ -84,6 +88,13 @@ class TestEvaluate:
 
 
 class TestContinuumSeminorm:
+    @pytest.mark.parametrize("fn", [piecewise_constant([0.0, 1.0, 2.0], [1e300, 0.0]),
+                                    power_function(0.5, (-1e300, 1.0))],
+                             ids=["values", "domain"])
+    def test_sums_beyond_the_float_range_are_refused(self, fn):
+        with pytest.raises(InvalidInputError, match="leave the float range"):
+            continuum_seminorm(fn, 0.3, refinement=7)
+
     def test_constant_function_zero(self):
         fn = piecewise_constant([0.0, 1.0], [3.0])
         res = continuum_seminorm(fn, 0.3, refinement=9)
