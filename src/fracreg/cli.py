@@ -3,7 +3,7 @@
 Commands: fit, sweep, seminorm, eigen, gridsearch, zoo.  Every run reads
 one structured-text config, writes an effective-config echo plus its
 artifacts under the output directory, and returns a family-coded exit
-status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io.
+status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io, 6 out of memory.
 
 Only the solver commands (fit, sweep, eigen, gridsearch) import the graph,
 spectral and estimator modules, and with them scipy; they do so at call
@@ -33,6 +33,12 @@ EXIT_INPUT = 2
 EXIT_TUNING = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+EXIT_MEMORY = 6
+
+# The largest sample size whose float64 design numpy can hold as one array
+# (its byte count must fit in an intp); a larger n or n_grid entry is an input
+# error.  A smaller one that does not fit in memory ends in EXIT_MEMORY.
+MAX_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # Solver-stack names readable as attributes of this module
 # (fracreg.cli.build_graph).  Each access looks the name up through the
@@ -120,10 +126,10 @@ def _experiment_config_from_view(view: cfg.ConfigView, single_n: bool = False):
 
     truth = view.get_str("truth", required=True)
     if single_n:
-        n_grid = [view.get_int("n", required=True, minimum=2)]
+        n_grid = [view.get_int("n", required=True, minimum=2, maximum=MAX_N)]
         reps = 1
     else:
-        n_grid = view.get_list("n_grid", default=DEFAULT_N_GRID, kind=int)
+        n_grid = view.get_list("n_grid", default=DEFAULT_N_GRID, kind=int, le=MAX_N)
         reps = view.get_int("repetitions", default=DEFAULT_REPETITIONS, minimum=1)
     seed = view.get_int("seed", default=0, minimum=0)
     noise_sd = view.get_float("noise_sd", default=1.0, ge=0.0)
@@ -310,7 +316,7 @@ def _cmd_eigen(args, out_dir, view):
     # the design comes first in the echo, then kernel, tuning, epsilon and m
     data_path = view.get_str("data")
     if data_path is None:
-        n = view.get_int("n", required=True, minimum=2)
+        n = view.get_int("n", required=True, minimum=2, maximum=MAX_N)
         seed = view.get_int("seed", required=True, minimum=0)
         low = view.get_float("design.low", default=0.0)
         high = view.get_float("design.high", default=5.0, gt=low)
@@ -420,6 +426,8 @@ def main(argv=None) -> int:
         code, kind, err = EXIT_INPUT, "input", exc
     except OSError as exc:
         code, kind, err = EXIT_IO, "io", exc
+    except MemoryError as exc:
+        code, kind, err = EXIT_MEMORY, "memory", exc if str(exc) else "out of memory"
     _error_record(out_dir, code, kind, err)
     print("fracreg: %s error: %s" % (kind, err), file=sys.stderr)
     return code

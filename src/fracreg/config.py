@@ -238,7 +238,8 @@ class ConfigView:
             self._fail(key, "%r must lie in (0,1)" % key)
         return self._record(key, float(val))
 
-    def get_list(self, key, default=None, required=False, kind=float, gt=None, ge=None):
+    def get_list(self, key, default=None, required=False, kind=float, gt=None, ge=None,
+                 le=None):
         val = self._value(key, default, required)
         if val is None:
             return None
@@ -251,6 +252,8 @@ class ConfigView:
             self._fail(key, "%r entries must be greater than %s" % (key, gt))
         if ge is not None and not all(v >= ge for v in val):
             self._fail(key, "%r entries must be at least %s" % (key, ge))
+        if le is not None and not all(v <= le for v in val):
+            self._fail(key, "%r entries must be at most %s" % (key, le))
         return self._record(key, val)
 
     def reject_unknown(self):

@@ -100,11 +100,11 @@ class RegressionFit:
         preamble = "".join("# %s = %s\n" % (key, format(val, ".17g") if isinstance(val, float)
                                              else val) for key, val in meta.items())
         y = samples.responses
-        y_cells = [""] * samples.n if y is None else y.tolist()
-        rows = ([i + 1] + point + [yi, fi] for i, (point, yi, fi)
-                in enumerate(zip(samples.points.tolist(), y_cells, self.fitted.tolist())))
+        kinds = "d" + "g" * samples.dim + ("s" if y is None else "g") + "g"
+        if y is None:  # the y cells are empty text
+            y = np.full(samples.n, "", dtype=object)
         write_csv(path, ["index"] + ["x%d" % (j + 1) for j in range(samples.dim)] + ["y", "fitted"],
-                  rows, "d" + "g" * samples.dim + ("s" if y is None else "g") + "g", preamble)
+                  (np.arange(1, samples.n + 1), samples.points, y, self.fitted), kinds, preamble)
 
 
 def fit(samples: SampleSet, K: int, epsilon: float, kernel: KernelSpec) -> RegressionFit:

@@ -183,7 +183,7 @@ class CurveResult:
 
     def write_csv(self, path):
         write_csv(path, ["x", "truth", "mean_fit"],
-                  zip(self.grid, self.mean_truth, self.mean_fit), "ggg")
+                  (self.grid, self.mean_truth, self.mean_fit), "ggg")
 
 
 def _nearest(grid: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -87,11 +87,11 @@ class SampleSet:
     def save_csv(self, path):
         """One row per point: d coordinate columns, then the response if present."""
         header = ["x%d" % (j + 1) for j in range(self.dim)]
-        table = self.points
+        columns = (self.points,)
         if self.responses is not None:
             header.append("y")
-            table = np.column_stack([table, self.responses])
-        write_csv(path, header, table.tolist(), "g" * len(header))
+            columns += (self.responses,)
+        write_csv(path, header, columns, "g" * len(header))
 
     @classmethod
     def load_csv(cls, path) -> "SampleSet":

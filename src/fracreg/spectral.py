@@ -108,10 +108,8 @@ class EigenSystem:
 
     def save_csv(self, path):
         """One row per pair: index, eigenvalue, then the n vector entries."""
-        rows = ([k + 1, value] + self.vectors[:, k].tolist()
-                for k, value in enumerate(self.values.tolist()))
         write_csv(path, ["index", "eigenvalue"] + ["v%d" % (i + 1) for i in range(self.n)],
-                  rows, "dg" + "g" * self.n)
+                  (np.arange(1, self.m + 1), self.values, self.vectors.T), "dg" + "g" * self.n)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -769,6 +769,38 @@ def test_unformable_inputs_exit_with_their_code(tmp_path, command, config, code)
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("eigen", "n = %d\nseed = 1\nepsilon = 0.5\nm = 4\n" % 10 ** 20, "n"),
+    ("eigen", "n = %d\nseed = 1\nepsilon = 0.5\nm = 4\n" % (cli.MAX_N + 1), "n"),
+    ("gridsearch", "truth = f2\nn = %d\n" % (cli.MAX_N + 1), "n"),
+    ("sweep", SWEEP_CONFIG.replace("[40, 60]", "[40, %d]" % (cli.MAX_N + 1)), "n_grid"),
+], ids=["eigen-1e20", "eigen-max+1", "gridsearch-max+1", "sweep-max+1"])
+def test_an_n_numpy_cannot_hold_is_an_input_error(tmp_path, command, config, key):
+    cfg = write(tmp_path / "c.txt", config)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, "--out", str(out), "--threads", "1") == 2
+    record = cfgmod.parse_text((out / "error.txt").read_text())
+    assert record["code"].value == 2
+    assert "%r" % key in record["message"].value
+    assert not (out / "config_echo.txt").exists()
+
+
+def test_a_memory_error_ends_in_error_txt(tmp_path, monkeypatch):
+    # an n numpy can index but no machine can hold fails at the allocation
+    cfg = write(tmp_path / "c.txt", "n = %d\nseed = 1\nepsilon = 0.5\nm = 4\n" % 10 ** 17)
+    assert run_cli("eigen", "--config", cfg, "--out", str(tmp_path / "o")) == cli.EXIT_MEMORY
+    record = cfgmod.parse_text((tmp_path / "o" / "error.txt").read_text())
+    assert (record["code"].value, record["kind"].value) == (6, "memory")
+
+    def exhausted(args, out_dir, view):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "eigen", (exhausted, *cli._COMMANDS["eigen"][1:]))
+    assert run_cli("eigen", "--config", cfg, "--out", str(tmp_path / "p")) == 6
+    record = cfgmod.parse_text((tmp_path / "p" / "error.txt").read_text())
+    assert (record["kind"].value, record["message"].value) == ("memory", "out of memory")
+
+
 class TestGridsearchCommand:
     def test_surface_and_best(self, tmp_path):
         cfg = write(tmp_path / "g.txt", """\

@@ -3,23 +3,29 @@
 The reference writer below is the per-cell form the shared writer replaces:
 floats through format(v, ".17g"), integers through str, text cells as given,
 all through csv.writer.  Inputs include the float extremes, numpy scalars,
-and text that needs csv quoting.
+and text that needs csv quoting.  The float formatter is also checked on every
+kind of float64 (a hypothesis property whose example count comes from the
+active profile: see conftest.py), on named edge families, and on a full
+n = 4000, m = 64 eigensystem.
 """
 
 import contextlib
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracreg import cli
 from fracreg.csvout import write_csv
 from fracreg.estimator import GridSearchResult, RegressionFit
 from fracreg.experiments import CurveResult, ExperimentReport, SweepFailure, SweepRecord
-from fracreg.graph import SampleSet
+from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import continuum_seminorm, zoo_function
-from fracreg.spectral import EigenSystem
+from fracreg.spectral import EigenSystem, eigensolve, laplacian
 
 EDGE_FLOATS = [
     float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308,
@@ -60,15 +66,80 @@ def regression_fit(samples):
     )
 
 
+# The example count is the active profile's: hypothesis's default in tier-1.
+CELLS = settings(derandomize=True, database=None, deadline=None)
+
+ANY_FLOAT = st.one_of(
+    st.floats(),  # nan, +-inf, +-0, subnormals and the extremes included
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.builds(lambda digits, exponent: digits * 10.0 ** exponent,
+              st.integers(-99999, 99999), st.integers(-9, 17)),
+)
+
+
+def ulps(value, count):
+    """value and the count floats on either side of it."""
+    below, above, out = value, value, [value]
+    for _ in range(count):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+# Powers of ten at +-4 ulps (1e-4 and 1e16 bound the certified range), exact
+# ties at the 17th digit (half to even rounds .25 down and .75 up), and -0.
+NAMED_FLOATS = [sign * v for sign in (1, -1) for v in
+                [u for j in range(-5, 18) for u in ulps(10.0 ** j, 4)]
+                + [1234567890123456.75, 1234567890123456.25]] + [-0.0]
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("cells") / "t.csv"
+
+
+def assert_written_as_17g(path, values):
+    """values as one row, then one per row: as columns, then as a list of rows."""
+    header = ["c%d" % j for j in range(len(values))]
+    write_csv(path, header, (np.array([values]),), "g" * len(values))
+    assert path.read_bytes() == reference_bytes(header, [values])
+    write_csv(path, ["c"], [[v] for v in values], "g")
+    assert path.read_bytes() == reference_bytes(["c"], [[v] for v in values])
+
+
 class TestWriter:
     def test_rows_end_in_crlf(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["a"], [[1.5], [2.5]], "g")
         assert (tmp_path / "t.csv").read_bytes() == b"a\r\n1.5\r\n2.5\r\n"
 
+    @CELLS
+    @given(st.lists(ANY_FLOAT, min_size=1, max_size=40))
+    def test_every_float_is_written_as_its_17g_text(self, scratch_csv, values):
+        assert_written_as_17g(scratch_csv, values)
+
+    def test_named_floats(self, tmp_path):
+        assert_written_as_17g(tmp_path / "t.csv", NAMED_FLOATS)
+
+    def test_integers_of_any_length(self, tmp_path):
+        rows = [[np.int64(-7), 0.5, 10 ** 40], [3, -0.0, -(10 ** 45)]]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows, "dgd")
+        assert (tmp_path / "t.csv").read_bytes() == reference_bytes(["a", "b", "c"], rows)
+
 
 class TestArtifacts:
     def test_eigen_csv(self, tmp_path):
         eig = eigen_system()
+        eig.save_csv(tmp_path / "eigen.csv")
+        header = ["index", "eigenvalue"] + ["v%d" % (i + 1) for i in range(eig.n)]
+        rows = [[k + 1, eig.values[k]] + list(eig.vectors[:, k]) for k in range(eig.m)]
+        assert (tmp_path / "eigen.csv").read_bytes() == reference_bytes(header, rows)
+
+    def test_full_size_eigen_csv(self, tmp_path):
+        # the eigen command's shape: n = 4000, m = 64, many row blocks
+        points = np.random.default_rng(3).uniform(0.0, 5.0, (4000, 1))
+        eig = eigensolve(laplacian(build_graph(SampleSet(points), 0.25,
+                                               KernelSpec("truncated_gaussian"))), 64)
         eig.save_csv(tmp_path / "eigen.csv")
         header = ["index", "eigenvalue"] + ["v%d" % (i + 1) for i in range(eig.n)]
         rows = [[k + 1, eig.values[k]] + list(eig.vectors[:, k]) for k in range(eig.m)]
