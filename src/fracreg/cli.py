@@ -8,6 +8,8 @@ status: 0 ok, 2 invalid input, 3 tuning, 4 solver, 5 io, 6 out of memory.
 Only the solver commands (fit, sweep, eigen, gridsearch) import the graph,
 spectral and estimator modules, and with them scipy; they do so at call
 time, so importing this module and running seminorm or zoo load numpy alone.
+No command sets the BLAS thread count: fracreg.spectral makes every BLAS
+call at one OpenBLAS thread, so no output depends on that count.
 """
 
 from __future__ import annotations
@@ -360,17 +362,16 @@ def _cmd_zoo(args, out_dir, view):
     print("zoo: wrote %d function definitions" % len(table))
 
 
-# One row per command: its handler; whether it computes with BLAS, which
-# runs it at one BLAS thread; and what it writes beside config_echo.txt (and
-# error.txt on failure).  A run first removes all of those files, so a failed
-# run leaves none of an earlier one's.
+# One row per command: its handler, and what it writes beside config_echo.txt
+# (and error.txt on failure).  A run first removes all of those files, so a
+# failed run leaves none of an earlier one's.
 _COMMANDS = {
-    "fit": (_cmd_fit, True, ("fit.csv",)),
-    "sweep": (_cmd_sweep, True, ("records.csv", "summary.csv", "failures.csv", "curve.csv")),
-    "seminorm": (_cmd_seminorm, False, ("seminorm.csv",)),
-    "eigen": (_cmd_eigen, True, ("eigen.csv",)),
-    "gridsearch": (_cmd_gridsearch, True, ("surface.csv", "best.txt")),
-    "zoo": (_cmd_zoo, False, tuple("%s.txt" % name for name in sobolev.zoo())),
+    "fit": (_cmd_fit, ("fit.csv",)),
+    "sweep": (_cmd_sweep, ("records.csv", "summary.csv", "failures.csv", "curve.csv")),
+    "seminorm": (_cmd_seminorm, ("seminorm.csv",)),
+    "eigen": (_cmd_eigen, ("eigen.csv",)),
+    "gridsearch": (_cmd_gridsearch, ("surface.csv", "best.txt")),
+    "zoo": (_cmd_zoo, tuple("%s.txt" % name for name in sobolev.zoo())),
 }
 
 
@@ -402,21 +403,13 @@ def main(argv=None) -> int:
         print("fracreg: cannot create %s: %s" % (out_dir, exc), file=sys.stderr)
         return EXIT_IO
 
-    handler, uses_blas, artifacts = _COMMANDS[args.command]
+    handler, artifacts = _COMMANDS[args.command]
     try:
         for name in ("config_echo.txt", "error.txt") + artifacts:
             with contextlib.suppress(FileNotFoundError):  # left by an earlier run
                 os.remove(os.path.join(out_dir, name))
         view = cfg.ConfigView(_load_entries(args), source=args.config or "<config>")
-        if uses_blas:
-            # Outputs must not depend on the BLAS thread count.  The import
-            # loads scipy, so the pin sees its OpenBLAS as well as numpy's.
-            from fracreg.experiments import _one_blas_thread
-            pin = _one_blas_thread()
-        else:  # seminorm and zoo call no BLAS routine
-            pin = contextlib.nullcontext()
-        with pin:
-            handler(args, out_dir, view)
+        handler(args, out_dir, view)
         return EXIT_OK
     except TuningError as exc:
         code, kind, err = EXIT_TUNING, "tuning", exc

@@ -9,8 +9,6 @@ and bit-reproducible regardless of scheduling.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -33,14 +31,6 @@ _RETRY_OFFSET = 2 ** 48
 # and, on a second failure, a failures.csv row.  Anything else is a bug and
 # propagates; the solvers' own failures arrive as SolverError.
 _RETRYABLE = FracregError
-
-# Setter and getter of the thread count in a plain OpenBLAS build and in the
-# prefixed builds that the numpy (64-bit integer) and scipy wheels bundle.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-)
 
 # The smallest n is dropped from the slope fit when its graph was
 # disconnected in more than this fraction of repetitions.
@@ -254,53 +244,6 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
     return slope, math.sqrt(rss / (m - 2) / sxx)
 
 
-@functools.cache
-def _openblas_handles():
-    """(set, get) thread-count functions of each OpenBLAS this process loaded.
-
-    Found through /proc/self/maps, so on other systems, or with another
-    BLAS, the tuple is empty and runs keep the library's thread count.
-    Looked up once per process: importing this module has already loaded
-    numpy's and scipy's BLAS, and a lookup costs about a millisecond.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    handles = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                handles.append((getattr(lib, set_name), getattr(lib, get_name)))
-                break
-    return tuple(handles)
-
-
-def _pin_one_blas_thread():
-    """Pool initializer: a forked worker inherits the pin, a spawned one not."""
-    for set_threads, _ in _openblas_handles():
-        set_threads(1)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread, then restore."""
-    handles = _openblas_handles()
-    saved = [get_threads() for _, get_threads in handles]
-    for set_threads, _ in handles:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(handles, saved):
-            set_threads(count)
-
-
 def run_sweep(config: ExperimentConfig, threads: int = 1,
               curve: tuple | None = None) -> ExperimentReport:
     """Generate, tune, fit, and record over every (n, repetition) cell.
@@ -312,11 +255,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
     the grid (report.curve): retry streams included, and a repetition that
     failed on both streams left out.
 
-    Every job runs with one OpenBLAS thread, in the pool and serially alike,
-    so the records do not depend on the BLAS thread count either.  At the
-    library default each pool worker would start one BLAS thread per core,
-    and on a machine with as many workers as cores those spinning threads
-    made a pooled sweep several times slower than the same jobs run serially.
+    The records do not depend on the BLAS thread count either: every BLAS
+    call of a job runs inside fracreg.spectral at one OpenBLAS thread, in a
+    pool worker and serially alike, so no worker makes a multithreaded BLAS
+    call that competes with the other workers for the cores.
 
     Jobs are submitted largest n first, one at a time, so the costliest jobs
     start early and no worker is left holding a batch of them at the end.
@@ -329,11 +271,10 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
         sums = np.zeros((3, grid.size))  # fitted values, truth, design points
     jobs = [(config, n, rep) for n in reversed(config.n_grid) for rep in range(config.repetitions)]
     outcomes = []
-    with _one_blas_thread(), contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         workers = min(threads, len(jobs))  # a fork pool starts every worker at once
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_pin_one_blas_thread))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_sweep_job, *zip(*jobs))
         else:
             results = itertools.starmap(_sweep_job, jobs)

@@ -7,6 +7,9 @@ and inner products below are <u, v>_n = <u, v> / n throughout.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,61 @@ _REL_TOL = 1e-10
 # in the tests and at the benchmark workloads' sizes; a kernel of dimension >= m may
 # not converge.
 _MAX_RESTARTS = 200
+
+# Setter and getter of the thread count in a plain OpenBLAS build and in the
+# prefixed builds that the numpy (64-bit integer) and scipy wheels bundle.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_handles():
+    """(set, get) thread-count functions of each OpenBLAS this process loaded.
+
+    Found through /proc/self/maps, so on other systems, or with another
+    BLAS, the tuple is empty and calls keep the library's thread count.
+    Looked up once per process: importing this module has already loaded
+    numpy's and scipy's BLAS, and a lookup costs about a millisecond.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    handles = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                handles.append((getattr(lib, set_name), getattr(lib, get_name)))
+                break
+    return tuple(handles)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then restore.
+
+    Every function of this module that calls BLAS runs under it, so its
+    results do not depend on the BLAS thread count, for every caller.  The
+    count is process-wide: calls from several Python threads at once are
+    not covered.
+    """
+    handles = _openblas_handles()
+    saved = [get_threads() for _, get_threads in handles]
+    for set_threads, _ in handles:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(handles, saved):
+            set_threads(count)
 
 
 def _lanczos_basis_size(n: int, m: int) -> int:
@@ -84,6 +142,7 @@ class EigenSystem:
     def m(self) -> int:
         return self.values.shape[0]
 
+    @_one_blas_thread()
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Empirical inner products <u, v_i>_n for every computed pair."""
         return self.vectors.T @ np.asarray(u, dtype=float) / self.n
@@ -169,6 +228,7 @@ def _shift_invert(matrix: sparse.csr_matrix, shift: float,
     return spla.LinearOperator((n, n), matvec=lambda x: pbtrs(factor, x)[0], dtype=float)
 
 
+@_one_blas_thread()
 def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSystem:
     """Compute the m algebraically smallest eigenpairs of the operator.
 
@@ -264,6 +324,7 @@ def eigensolve(op: LaplacianOperator, m: int, method: str = "auto") -> EigenSyst
     return EigenSystem(values=np.asarray(values, dtype=float), vectors=vectors)
 
 
+@_one_blas_thread()
 def dirichlet_form(op: LaplacianOperator, u: np.ndarray) -> float:
     """Edge-sum quadratic form (1/(2 n^2 eps^(d+2))) sum_ij w_ij (u_i - u_j)^2.
 

@@ -11,11 +11,11 @@ import fracreg
 from fracreg import cli
 from fracreg import config as cfgmod
 from fracreg import experiments, spectral
-from fracreg.errors import SolverError
+from fracreg.errors import InvalidInputError, SolverError
 from fracreg.estimator import TuningRule
 from fracreg.graph import KernelSpec, SampleSet, build_graph
 from fracreg.sobolev import zoo
-from fracreg.spectral import DENSE_LIMIT, _kernel_basis, eigensolve, laplacian
+from fracreg.spectral import DENSE_LIMIT, _kernel_basis, dirichlet_form, eigensolve, laplacian
 
 SWEEP_CONFIG = """\
 truth = f2
@@ -963,41 +963,35 @@ class TestBlasThreads:
             outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
         assert outputs[0] == outputs[1]
 
-    def test_handlers_run_at_one_blas_thread(self, tmp_path, monkeypatch):
-        handles = experiments._openblas_handles()
-        assert handles
-        saved = [get_threads() for _, get_threads in handles]
-        seen = {}
-
-        def spying(name, handler):
-            def wrapper(args, out_dir, entries):
-                seen[name] = [get_threads() for _, get_threads in handles]
-                return handler(args, out_dir, entries)
-            return wrapper
-
-        for name in ("eigen", "fit", "gridsearch"):
-            handler, *rest = cli._COMMANDS[name]
-            monkeypatch.setitem(cli._COMMANDS, name, (spying(name, handler), *rest))
+    def test_spectral_blas_calls_run_at_one_blas_thread(self, blas_threads, monkeypatch):
+        # eigensolve, EigenSystem.coefficients and dirichlet_form make every BLAS
+        # call of the library: each runs at one thread inside and then hands the
+        # caller's count back, also when it raises
         x = np.linspace(0, 4, 30)
-        SampleSet(x[:, None], np.sin(x)).save_csv(tmp_path / "data.csv")
-        configs = {
-            "eigen": "n = 50\nseed = 1\nepsilon = 0.5\nm = 4\n",
-            "fit": "data = %s\nK = 3\nepsilon = 0.8\n" % (tmp_path / "data.csv"),
-            "gridsearch": "truth = f2\nn = 50\nseed = 1\ngrids.k = [1, 4]\ngrids.eps = [1.0]\n",
-        }
-        try:
-            for set_threads, _ in handles:
-                set_threads(2)
-            before = [get_threads() for _, get_threads in handles]
-            for name, text in configs.items():
-                cfg = write(tmp_path / ("%s.txt" % name), text)
-                assert run_cli(name, "--config", cfg, "--out", str(tmp_path / name)) == 0
-                assert seen[name] == [1] * len(handles)
-                assert [get_threads() for _, get_threads in handles] == before
-        finally:
-            for (set_threads, _), count in zip(handles, saved):
-                set_threads(count)
+        op = laplacian(build_graph(SampleSet(x[:, None]), 0.5, KernelSpec("indicator")))
+        seen = []
 
+        class CountingNumpy:  # spectral's numpy, reading the thread counts at each lookup
+            def __getattr__(self, name):
+                seen.append(blas_threads.counts())
+                return getattr(np, name)
+
+        def counts_inside(call, *args):
+            seen.clear()
+            result = call(*args)
+            assert seen and all(counts == {1} for counts in seen)
+            assert blas_threads.counts() == {2}
+            return result
+
+        blas_threads.set(2)
+        monkeypatch.setattr(spectral, "np", CountingNumpy())
+        for method in ("dense", "iterative"):
+            eig = counts_inside(eigensolve, op, 4, method)
+            counts_inside(eig.coefficients, x)
+        counts_inside(dirichlet_form, op, x)
+        with pytest.raises(InvalidInputError):
+            eigensolve(op, 0)
+        assert blas_threads.counts() == {2}
 
     def test_pin_finds_an_openblas_loaded_after_a_light_command(self, tmp_path):
         # seminorm loads no scipy; the eigen run after it in the same process

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracreg import cli, estimator, experiments
+from fracreg import cli, estimator, experiments, spectral
 from fracreg.errors import InvalidInputError, SolverError, TuningError
 from fracreg.estimator import TuningRule, fit, grid_search
 from fracreg.experiments import (
@@ -167,7 +167,7 @@ class TestRunSweep:
         sizes, chunks, submitted = [], [], []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -200,20 +200,19 @@ class TestRunSweep:
                           k_grid=(4, 16, 32))
         assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=2)
 
-    def test_jobs_run_at_one_blas_thread(self, monkeypatch):
-        handles = experiments._openblas_handles()
-        before = [get_threads() for _, get_threads in handles]
+    def test_jobs_run_at_one_blas_thread(self, blas_threads, monkeypatch):
         seen = []
-        real_grid_search = experiments.grid_search
+        real_fix_signs = spectral._fix_signs
 
-        def spying(*args):
-            seen.append([get_threads() for _, get_threads in handles])
-            return real_grid_search(*args)
+        def spying(vectors):  # inside every eigensolve
+            seen.append(blas_threads.counts())
+            return real_fix_signs(vectors)
 
-        monkeypatch.setattr(experiments, "grid_search", spying)
+        monkeypatch.setattr(spectral, "_fix_signs", spying)
+        blas_threads.set(2)
         run_sweep(grid_config())
-        assert seen and all(counts == [1] * len(handles) for counts in seen)
-        assert [get_threads() for _, get_threads in handles] == before
+        assert seen and all(counts == {1} for counts in seen)
+        assert blas_threads.counts() == {2}
 
     def test_rule_tuning_path(self):
         cfg = ExperimentConfig(
@@ -410,9 +409,8 @@ def refit_curve(config, n, grid, streams=None):
     for rep_index in range(config.repetitions) if streams is None else streams:
         samples, truth_values = generate(config, n, rep_index)
         x = samples.points[:, 0]
-        with experiments._one_blas_thread():
-            res = grid_search(samples, *config.search_grid(n), config.kernel,
-                              truth_values).best_fit
+        res = grid_search(samples, *config.search_grid(n), config.kernel,
+                          truth_values).best_fit
         idx = np.clip(np.searchsorted(grid, x), 0, grid.size - 1)
         left = np.clip(idx - 1, 0, grid.size - 1)
         nearer_left = np.abs(x - grid[left]) <= np.abs(grid[idx] - x)

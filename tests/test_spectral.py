@@ -434,3 +434,33 @@ class TestDirichletForm:
             via_edges = dirichlet_form(op, u)
             via_matvec = (op.matrix @ u) @ u / op.n
             assert via_edges == pytest.approx(via_matvec, abs=1e-10)
+
+
+class TestBlasThreadCount:
+    """Library calls give the same bits at every OpenBLAS thread count."""
+
+    def test_coefficients(self, blas_threads):
+        # OpenBLAS threads this dgemv at 32000 x 235 (not at 4000 x 64)
+        rng = np.random.default_rng(31)
+        eig = spectral.EigenSystem(values=np.arange(235.0),
+                                   vectors=rng.standard_normal((32000, 235)))
+        for u in rng.standard_normal((3, eig.n)):
+            bits = []
+            for count in (1, 2):
+                blas_threads.set(count)
+                bits.append(eig.coefficients(u).tobytes())
+            assert bits[0] == bits[1]
+
+    def test_dirichlet_form(self, blas_threads):
+        # 11734 stored edges: OpenBLAS threads a ddot above 10000 entries
+        x = np.random.default_rng(1).uniform(0.0, 5.0, 250)
+        op = laplacian(build_graph(SampleSet(x[:, None]), 0.5,
+                                   KernelSpec("truncated_gaussian", 0.4)))
+        assert op.graph.weights.nnz > 10000
+        for seed in range(5):
+            u = np.random.default_rng(seed).standard_normal(op.n)
+            values = []
+            for count in (1, 2):
+                blas_threads.set(count)
+                values.append(dirichlet_form(op, u))
+            assert values[0] == values[1]
